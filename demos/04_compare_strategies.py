@@ -4,7 +4,7 @@ Restarted Nelder-Mead, the Gaussian-process search, and the cubic-RBF
 surrogate search each get an identical budget, identical history, and
 disjoint seeds, then the results land in one side-by-side table:
 objective reached, % reduction from the starting policy, per-facility
-policies, evaluation counts, and wall time.
+policies, evaluation counts, and CPU time.
 
 Run:  python3 demos/04_compare_strategies.py       (about a minute)
 """

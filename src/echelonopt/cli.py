@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -48,14 +49,19 @@ def _scenario_with_overrides(cfg: LoadedConfig,
     choice = s.demand_choice
     if getattr(args, "choice", None) and args.choice != "both":
         choice = DemandChoice(args.choice)
+
+    def override(name: str, configured):
+        # A given 0 is passed on, so ScenarioConfig rejects it.
+        value = getattr(args, name, None)
+        return configured if value is None else value
+
     return ScenarioConfig(
-        horizon=getattr(args, "horizon", None) or s.horizon,
-        replications=getattr(args, "replications", None) or s.replications,
+        horizon=override("horizon", s.horizon),
+        replications=override("replications", s.replications),
         penalty_rho=s.penalty_rho,
         demand_choice=choice,
         initial_inventory_fraction=s.initial_inventory_fraction,
-        base_seed=(args.seed if getattr(args, "seed", None) is not None
-                   else s.base_seed),
+        base_seed=override("seed", s.base_seed),
     )
 
 
@@ -185,10 +191,11 @@ def _policy_payload(policy: PolicyVector, network) -> dict:
 
 
 def _settings_overrides(args) -> dict:
+    # A given 0 is passed on, so Budget rejects it.
     overrides = {}
-    if getattr(args, "max_evals", None):
+    if getattr(args, "max_evals", None) is not None:
         overrides["max_evaluations"] = args.max_evals
-    if getattr(args, "max_minutes", None):
+    if getattr(args, "max_minutes", None) is not None:
         overrides["max_minutes"] = args.max_minutes
     return overrides
 
@@ -238,6 +245,7 @@ def cmd_optimize(args) -> int:
         "reduction_pct": result.reduction_pct,
         "evaluations": result.run.evaluations_used,
         "wall_time_minutes": result.run.wall_time_s / 60.0,
+        "cpu_time_minutes": result.run.cpu_time_s / 60.0,
         "feasible": result.feasible,
         "mean_beta": result.report.mean_beta,
         "settings": result.run.settings,
@@ -268,14 +276,8 @@ def cmd_compare(args) -> int:
     overrides = _settings_overrides(args)
 
     for choice in choices:
-        scenario = ScenarioConfig(
-            horizon=args.horizon or cfg.scenario.horizon,
-            replications=args.replications or cfg.scenario.replications,
-            penalty_rho=cfg.scenario.penalty_rho,
-            demand_choice=DemandChoice(choice),
-            initial_inventory_fraction=cfg.scenario.initial_inventory_fraction,
-            base_seed=cfg.scenario.base_seed,
-        )
+        scenario = replace(_scenario_with_overrides(cfg, args),
+                           demand_choice=DemandChoice(choice))
         initial_z = evaluate(cfg.initial_policy, cfg.network, history,
                              scenario).z
         results = []
@@ -298,6 +300,7 @@ def cmd_compare(args) -> int:
                     "reduction_pct": result.reduction_pct,
                     "evaluations": result.run.evaluations_used,
                     "wall_time_minutes": result.run.wall_time_s / 60.0,
+                    "cpu_time_minutes": result.run.cpu_time_s / 60.0,
                     "feasible": result.feasible,
                     "mean_beta": result.report.mean_beta,
                 }, indent=2, sort_keys=True) + "\n")

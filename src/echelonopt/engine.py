@@ -29,6 +29,30 @@ Replenishment mechanics:
 * Orders sent to SOURCE skip queueing entirely: SOURCE has unbounded
   stock and ships the moment the order is placed.
 
+Implementation.  One replication is a single flat day loop over
+per-facility lists indexed by network position; there are no per-facility
+objects and no helper calls inside the loop.
+
+* Shipments are filed in an arrival calendar, one list per day, at the
+  day they land; a shipment that lands after the horizon is never filed.
+  The arrivals phase reads one list instead of scanning every facility's
+  pending shipments.  Each list holds its shipments in creation order, so
+  a stable sort by destination gives the event order: network order,
+  then creation order.
+* Each order queue is a deque of ``[quantity, requester, order_id,
+  reserved]`` records; ``reserved`` is None until the order first reaches
+  the head of the queue.
+* Random draws are prefetched per replication.  Demand for the whole
+  horizon is drawn up front from each customer facility's stream.  Each
+  facility's lead deltas are drawn as one block of ``horizon`` values
+  from its own lead stream, and its i-th incoming shipment takes the
+  block's i-th value.  A block draw ``integers(0, n, size=k)`` yields the
+  same values as k scalar draws ``integers(0, n)`` from the same
+  generator, and every stream is private to one (replication, facility,
+  purpose), so the common random numbers are the ones a draw per shipment
+  would give.  A facility places at most one order per day, so it
+  receives at most ``horizon`` shipments and the block never runs out.
+
 One replication is strictly sequential and deterministic in
 (network, policy, history, base_seed, replication); distinct
 replications use disjoint random streams and may run in parallel.
@@ -37,10 +61,8 @@ replications use disjoint random streams and may run in parallel.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable
-
-import numpy as np
+from dataclasses import dataclass
+from operator import itemgetter
 
 from .model import (
     SOURCE,
@@ -50,52 +72,16 @@ from .model import (
     PolicyVector,
     ScenarioConfig,
 )
-from .sampling import StreamKey, StreamPurpose, bootstrap_draw, bootstrap_draw_array
+from .sampling import StreamKey, StreamPurpose, bootstrap_draw_array
+# Unused here, but bench/tracing.py wraps engine.bootstrap_draw to count
+# scalar lead draws, so the name stays bound.
+from .sampling import bootstrap_draw  # noqa: F401
+
+_DESTINATION = itemgetter(0)
 
 
 class InvalidPolicyError(ValueError):
     """Policy does not cover the network or violates B >= R >= 0."""
-
-
-@dataclass
-class ReplenishmentOrder:
-    """A downstream replenishment request sitting in an upstream queue.
-
-    ``reserved`` tracks head-of-line progress: None until the order is
-    first touched by the fulfillment phase, then the stock amount already
-    pulled aside for it.
-    """
-
-    quantity: int
-    requester: str
-    day_placed: int
-    order_id: int
-    reserved: int | None = None
-
-
-@dataclass
-class PendingShipment:
-    """Goods in transit; delivered in the arrivals phase of arrival_day."""
-
-    quantity: int
-    destination: str
-    created_day: int
-    arrival_day: int
-    order_id: int
-
-
-@dataclass
-class FacilityState:
-    """Mutable per-facility simulation state."""
-
-    on_hand: int = 0
-    inv_position: int = 0
-    backorders: int = 0
-    total_demand: int = 0
-    total_shipped: int = 0
-    total_late: int = 0
-    order_queue: deque = field(default_factory=deque)
-    on_hand_trace: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -111,78 +97,6 @@ class SimulationOutcome:
     final_on_hand: dict[str, int]
     trace: dict[str, dict[str, list]] | None = None
     events: list | None = None
-
-
-def place_order(state: FacilityState, reorder_point: int, base_stock: int,
-                upstream_queue: deque, requester: str, day: int,
-                order_id: int) -> ReplenishmentOrder | None:
-    """Ordering-phase step for one facility on one day.
-
-    Triggers on inventory position <= reorder point; the quantity tops
-    on-hand stock up to base stock.  Returns the enqueued order, or None
-    when no order was placed (including the q <= 0 skip).
-    """
-    if state.inv_position > reorder_point:
-        return None
-    quantity = base_stock - state.on_hand
-    if quantity <= 0:
-        return None
-    order = ReplenishmentOrder(quantity, requester, day, order_id)
-    upstream_queue.append(order)
-    state.inv_position += quantity
-    return order
-
-
-def serve_customer(state: FacilityState, demand: int,
-                   choice: DemandChoice) -> int:
-    """Customer-phase step: serve one day's (already drawn) demand.
-
-    Lost sales ship min(demand, on hand); backorder mode also works off
-    the backlog and counts today's unmet demand as late.  Returns the
-    quantity shipped.
-    """
-    state.total_demand += demand
-    if choice is DemandChoice.LOST_SALES:
-        shipped = min(demand, state.on_hand)
-    else:
-        shipped = min(demand + state.backorders, state.on_hand)
-        unmet = demand - shipped
-        state.backorders += unmet
-        if unmet > 0:
-            state.total_late += unmet
-    state.total_shipped += shipped
-    state.on_hand -= shipped
-    state.inv_position -= shipped
-    return shipped
-
-
-def fulfill_orders(state: FacilityState, day: int,
-                   ship: Callable[[ReplenishmentOrder, int], None]) -> None:
-    """Fulfillment-phase step: drain the FIFO queue until it blocks.
-
-    Each order is first-touched exactly once: it immediately reserves
-    min(quantity, on hand).  A positive remainder then blocks the queue
-    until the facility holds the full remainder, which is reserved in one
-    chunk.  Completed orders are handed to ``ship`` and the next order is
-    considered the same day.
-    """
-    queue = state.order_queue
-    while queue:
-        order = queue[0]
-        if order.reserved is None:
-            grabbed = min(order.quantity, state.on_hand)
-            state.on_hand -= grabbed
-            state.inv_position -= grabbed
-            order.reserved = grabbed
-        remainder = order.quantity - order.reserved
-        if remainder > 0:
-            if state.on_hand < remainder:
-                break
-            state.on_hand -= remainder
-            state.inv_position -= remainder
-            order.reserved = order.quantity
-        queue.popleft()
-        ship(order, day)
 
 
 def _beta(choice: DemandChoice, demand: int, shipped: int, late: int) -> float:
@@ -213,153 +127,183 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
 
     horizon = config.horizon
     choice = config.demand_choice
-    customer_ids = network.customer_ids
-    states: dict[str, FacilityState] = {}
-    pending: dict[str, list[PendingShipment]] = {fid: [] for fid in ids}
-    base_lead = {f.id: f.base_lead_time for f in network.facilities}
-    upstream = {f.id: f.upstream for f in network.facilities}
+    lost_sales = choice is DemandChoice.LOST_SALES
+    n = len(ids)
+    position_of = {fid: i for i, fid in enumerate(ids)}
+    upstream = [-1 if f.upstream == SOURCE else position_of[f.upstream]
+                for f in network.facilities]
+    upstream_name = [f.upstream for f in network.facilities]
+    suppliers = sorted(set(upstream) - {-1})
+    reorder_point = [policy.reorder_point[fid] for fid in ids]
+    base_stock = [policy.base_stock[fid] for fid in ids]
 
-    for fid in ids:
-        start = int(round(config.initial_inventory_fraction
-                          * policy.base_stock[fid]))
-        states[fid] = FacilityState(on_hand=start, inv_position=start)
+    on_hand = [int(round(config.initial_inventory_fraction * b))
+               for b in base_stock]
+    position = list(on_hand)
+    backorders = [0] * n
+    total_demand = [0] * n
+    total_shipped = [0] * n
+    total_late = [0] * n
+    on_hand_sum = [0] * n
+    queues = [deque() for _ in ids]
+    calendar: list[list[tuple[int, int, int]]] = [
+        [] for _ in range(horizon + 1)]
 
-    # Demand for the whole horizon is drawn up front (one stream call per
-    # facility); lead deltas are drawn per shipment from their own stream.
-    demand_by_day: dict[str, np.ndarray] = {}
+    customers = []
     for fid in network.customer_ids:
         rng = StreamKey(config.base_seed, replication_index, fid,
                         StreamPurpose.DEMAND).generator()
-        demand_by_day[fid] = bootstrap_draw_array(
-            history.demand[fid], rng, horizon)
-    lead_rng = {
-        fid: StreamKey(config.base_seed, replication_index, fid,
-                       StreamPurpose.LEAD).generator()
-        for fid in ids
-    }
+        demand_by_day = bootstrap_draw_array(history.demand[fid], rng,
+                                             horizon).tolist()
+        customers.append((position_of[fid], demand_by_day))
+        total_demand[position_of[fid]] = sum(demand_by_day)
+    next_lead = []
+    for f in network.facilities:
+        rng = StreamKey(config.base_seed, replication_index, f.id,
+                        StreamPurpose.LEAD).generator()
+        deltas = bootstrap_draw_array(history.lead_delta[f.id], rng, horizon)
+        next_lead.append(iter((deltas + f.base_lead_time).tolist()).__next__)
 
     events: list[tuple] | None = [] if record_events else None
-    seq = 0
-
-    def emit(kind: str, day: int, fid: str, **data):
-        nonlocal seq
-        events.append((seq, day, fid, kind, data))
-        seq += 1
-
     daily: dict[str, dict[str, list]] | None = None
     if record_trace:
         daily = {fid: {"on_hand": [], "inv_position": [], "backorders": [],
                        "demand": [], "shipped": []} for fid in ids}
+    noncustomer = set(range(n)) - {f for f, _ in customers}
 
     next_order_id = 0
-
-    def create_shipment(order: ReplenishmentOrder, day: int,
-                        shipper: str) -> None:
-        dest = order.requester
-        delta = bootstrap_draw(history.lead_delta[dest], lead_rng[dest])
-        lead = base_lead[dest] + delta
-        shipment = PendingShipment(order.quantity, dest, day, day + lead,
-                                   order.order_id)
-        pending[dest].append(shipment)
-        if events is not None:
-            emit("ship", day, shipper, order_id=order.order_id,
-                 quantity=order.quantity, destination=dest,
-                 arrival_day=day + lead)
-
     for day in range(1, horizon + 1):
         # Phase 1: arrivals
-        for fid in ids:
-            plist = pending[fid]
-            if not plist:
-                continue
-            due = [s for s in plist if s.arrival_day <= day]
-            if due:
-                pending[fid] = [s for s in plist if s.arrival_day > day]
-                for s in due:
-                    states[fid].on_hand += s.quantity
-                    if events is not None:
-                        emit("arrive", day, fid, order_id=s.order_id,
-                             quantity=s.quantity)
+        arriving = calendar[day]
+        if arriving:
+            if events is not None:
+                arriving.sort(key=_DESTINATION)
+            for dest, quantity, order_id in arriving:
+                on_hand[dest] += quantity
+                if events is not None:
+                    events.append((len(events), day, ids[dest], "arrive",
+                                   {"order_id": order_id,
+                                    "quantity": quantity}))
 
         # Phase 2: customer service
-        for fid in customer_ids:
-            demand = int(demand_by_day[fid][day - 1])
-            shipped = serve_customer(states[fid], demand, choice)
+        for f, demand_by_day in customers:
+            demand = demand_by_day[day - 1]
+            stock = on_hand[f]
+            if lost_sales:
+                shipped = demand if demand < stock else stock
+            else:
+                wanted = demand + backorders[f]
+                if wanted <= stock:
+                    shipped = wanted
+                    backorders[f] = 0
+                else:
+                    shipped = stock
+                    backorders[f] = wanted - stock
+                    if demand > stock:
+                        total_late[f] += demand - stock
+            total_shipped[f] += shipped
+            on_hand[f] = stock - shipped
+            position[f] -= shipped
             if events is not None:
-                emit("serve", day, fid, demand=demand, shipped=shipped)
+                events.append((len(events), day, ids[f], "serve",
+                               {"demand": demand, "shipped": shipped}))
             if daily is not None:
-                daily[fid]["demand"].append(demand)
-                daily[fid]["shipped"].append(shipped)
+                daily[ids[f]]["demand"].append(demand)
+                daily[ids[f]]["shipped"].append(shipped)
 
         # Phase 3: replenishment fulfillment
-        for fid in ids:
-            state = states[fid]
-            if not state.order_queue:
+        for f in suppliers:
+            queue = queues[f]
+            if not queue:
                 continue
-            if events is not None:
-                before = {o.order_id: o.reserved for o in state.order_queue}
-            fulfill_orders(state, day,
-                           lambda order, d, shipper=fid:
-                           create_shipment(order, d, shipper))
-            if events is not None:
-                for o in state.order_queue:
-                    prior = before.get(o.order_id)
-                    if o.reserved is not None and o.reserved != prior:
-                        emit("reserve", day, fid, order_id=o.order_id,
-                             quantity=o.reserved - (prior or 0))
-
-        # Phase 4: order placement
-        for fid in ids:
-            state = states[fid]
-            up = upstream[fid]
-            rop = policy.reorder_point[fid]
-            base = policy.base_stock[fid]
-            if up == SOURCE:
-                if state.inv_position <= rop:
-                    quantity = base - state.on_hand
-                    if quantity > 0:
-                        order = ReplenishmentOrder(quantity, fid, day,
-                                                   next_order_id)
-                        next_order_id += 1
-                        state.inv_position += quantity
+            stock = on_hand[f]
+            taken = 0
+            while queue:
+                order = queue[0]
+                quantity, dest, order_id, reserved = order
+                if reserved is None:
+                    # First touch: grab what is on hand, once.
+                    grabbed = quantity if quantity < stock else stock
+                    stock -= grabbed
+                    taken += grabbed
+                    if grabbed < quantity:
+                        order[3] = grabbed
                         if events is not None:
-                            emit("order", day, fid, order_id=order.order_id,
-                                 quantity=quantity, upstream=SOURCE)
-                        # SOURCE never queues: unbounded stock, no wait.
-                        create_shipment(order, day, SOURCE)
-            else:
-                order = place_order(state, rop, base,
-                                    states[up].order_queue, fid, day,
-                                    next_order_id)
-                if order is not None:
+                            events.append((len(events), day, ids[f],
+                                           "reserve",
+                                           {"order_id": order_id,
+                                            "quantity": grabbed}))
+                        break
+                else:
+                    remainder = quantity - reserved
+                    if stock < remainder:
+                        break
+                    stock -= remainder
+                    taken += remainder
+                queue.popleft()
+                lead = next_lead[dest]()
+                land = day + lead if lead else day + 1
+                if land <= horizon:
+                    calendar[land].append((dest, quantity, order_id))
+                if events is not None:
+                    events.append((len(events), day, ids[f], "ship",
+                                   {"order_id": order_id,
+                                    "quantity": quantity,
+                                    "destination": ids[dest],
+                                    "arrival_day": day + lead}))
+            on_hand[f] = stock
+            position[f] -= taken
+
+        # Phase 4: order placement, then the end-of-day record.  An order
+        # changes only the orderer's own position, so recording each
+        # facility right after its ordering step sees end-of-day values.
+        for f in range(n):
+            if position[f] <= reorder_point[f]:
+                quantity = base_stock[f] - on_hand[f]
+                if quantity > 0:
+                    order_id = next_order_id
                     next_order_id += 1
+                    position[f] += quantity
+                    up = upstream[f]
                     if events is not None:
-                        emit("order", day, fid, order_id=order.order_id,
-                             quantity=order.quantity, upstream=up)
-
-        for fid in ids:
-            states[fid].on_hand_trace.append(states[fid].on_hand)
+                        events.append((len(events), day, ids[f], "order",
+                                       {"order_id": order_id,
+                                        "quantity": quantity,
+                                        "upstream": upstream_name[f]}))
+                    if up >= 0:
+                        queues[up].append([quantity, f, order_id, None])
+                    else:
+                        # SOURCE never queues: unbounded stock, no wait.
+                        lead = next_lead[f]()
+                        land = day + lead if lead else day + 1
+                        if land <= horizon:
+                            calendar[land].append((f, quantity, order_id))
+                        if events is not None:
+                            events.append((len(events), day, SOURCE, "ship",
+                                           {"order_id": order_id,
+                                            "quantity": quantity,
+                                            "destination": ids[f],
+                                            "arrival_day": day + lead}))
+            on_hand_sum[f] += on_hand[f]
             if daily is not None:
-                daily[fid]["on_hand"].append(states[fid].on_hand)
-                daily[fid]["inv_position"].append(states[fid].inv_position)
-                daily[fid]["backorders"].append(states[fid].backorders)
-                if fid not in customer_ids:
-                    daily[fid]["demand"].append(0)
-                    daily[fid]["shipped"].append(0)
+                column = daily[ids[f]]
+                column["on_hand"].append(on_hand[f])
+                column["inv_position"].append(position[f])
+                column["backorders"].append(backorders[f])
+                if f in noncustomer:
+                    column["demand"].append(0)
+                    column["shipped"].append(0)
 
-    avg_on_hand = {fid: sum(states[fid].on_hand_trace) / horizon
-                   for fid in ids}
-    beta = {fid: _beta(choice, states[fid].total_demand,
-                       states[fid].total_shipped, states[fid].total_late)
-            for fid in ids}
     return SimulationOutcome(
-        avg_on_hand=avg_on_hand,
-        beta=beta,
-        total_demand={fid: states[fid].total_demand for fid in ids},
-        total_shipped={fid: states[fid].total_shipped for fid in ids},
-        total_late={fid: states[fid].total_late for fid in ids},
-        final_backorders={fid: states[fid].backorders for fid in ids},
-        final_on_hand={fid: states[fid].on_hand for fid in ids},
+        avg_on_hand={fid: on_hand_sum[i] / horizon
+                     for i, fid in enumerate(ids)},
+        beta={fid: _beta(choice, total_demand[i], total_shipped[i],
+                         total_late[i]) for i, fid in enumerate(ids)},
+        total_demand=dict(zip(ids, total_demand)),
+        total_shipped=dict(zip(ids, total_shipped)),
+        total_late=dict(zip(ids, total_late)),
+        final_backorders=dict(zip(ids, backorders)),
+        final_on_hand=dict(zip(ids, on_hand)),
         trace=daily,
         events=events,
     )

@@ -135,7 +135,7 @@ def comparison_table(results: list[StrategyResult],
     rows.append(["Total iterations",
                  *(str(r.run.evaluations_used) for r in results)])
     rows.append(["CPU time (minutes)",
-                 *(f"{r.run.wall_time_s / 60.0:.2f}" for r in results)])
+                 *(f"{r.run.cpu_time_s / 60.0:.2f}" for r in results)])
     return rows
 
 

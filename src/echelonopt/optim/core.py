@@ -93,6 +93,7 @@ class OptimizerRun:
     best_so_far_trace: np.ndarray
     evaluations_used: int
     wall_time_s: float
+    cpu_time_s: float
     evaluated_points: np.ndarray
     evaluated_values: np.ndarray
 
@@ -112,6 +113,7 @@ class EvaluationTracker:
         self.repair = repair
         self.log = log
         self.started = time.perf_counter()
+        self.started_cpu = time.process_time()
         self.points: list[np.ndarray] = []
         self.values: list[float] = []
         self.trace: list[float] = []
@@ -168,6 +170,7 @@ class EvaluationTracker:
             best_so_far_trace=np.array(self.trace),
             evaluations_used=self.evaluations,
             wall_time_s=self.elapsed(),
+            cpu_time_s=time.process_time() - self.started_cpu,
             evaluated_points=np.array(self.points),
             evaluated_values=np.array(self.values),
         )

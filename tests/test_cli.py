@@ -124,6 +124,7 @@ class TestOptimize:
         assert set(best) == {"1", "2", "3", "4", "5"}
         summary = json.loads((out / "summary_rbf.json").read_text())
         assert summary["evaluations"] == 30
+        assert summary["cpu_time_minutes"] > 0.0
         assert summary["best_z"] <= summary["initial_z"]
 
     def test_single_eval_budget_reports_initial_point(self, config_path,
@@ -139,7 +140,43 @@ class TestOptimize:
         assert summary["reduction_pct"] == 0.0
 
 
+class TestZeroOverrides:
+    """A flag given as 0 is rejected, not replaced by the config value."""
+
+    @pytest.mark.parametrize("flag", ["--horizon", "--replications"])
+    def test_zero_scenario_flag_exits_one(self, config_path, history_dir,
+                                          flag, capsys):
+        code = main(["evaluate", "--config", config_path,
+                     "--history-dir", history_dir, flag, "0"])
+        assert code == 1
+        assert "must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--max-evals", "--max-minutes"])
+    def test_zero_budget_flag_exits_one(self, config_path, history_dir,
+                                        tmp_path, flag, capsys):
+        code = main(["optimize", "--config", config_path,
+                     "--history-dir", history_dir, "--strategy",
+                     "nelder-mead", "--out", str(tmp_path / "zero"),
+                     flag, "0", "--replications", "1", "--horizon", "30"])
+        assert code == 1
+        assert "must be positive" in capsys.readouterr().err
+
+
 class TestCompare:
+    def test_seed_sets_the_scenario_seed(self, config_path, history_dir,
+                                         tmp_path, capsys):
+        initial = {}
+        for seed in ("1", "2"):
+            code = main(["compare", "--config", config_path,
+                         "--history-dir", history_dir,
+                         "--out", str(tmp_path / seed), "--seed", seed,
+                         "--strategy", "nelder-mead", "--max-evals", "1",
+                         "--replications", "1", "--horizon", "30"])
+            assert code == 0
+            initial[seed] = [line for line in capsys.readouterr().out
+                             .splitlines() if "initial Z" in line]
+        assert initial["1"] and initial["1"] != initial["2"]
+
     def test_emits_table_in_expected_layout(self, config_path, history_dir,
                                             tmp_path, capsys):
         out = tmp_path / "cmp"

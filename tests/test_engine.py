@@ -1,16 +1,11 @@
 from collections import deque
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 
-from echelonopt.engine import (
-    FacilityState,
-    InvalidPolicyError,
-    ReplenishmentOrder,
-    fulfill_orders,
-    place_order,
-    serve_customer,
-    sim_network,
-)
+from echelonopt.config import load_config
+from echelonopt.engine import InvalidPolicyError, sim_network
 from echelonopt.model import (
     SOURCE,
     DemandChoice,
@@ -19,7 +14,19 @@ from echelonopt.model import (
     NetworkSpec,
     PolicyVector,
     ScenarioConfig,
+    repair_policy_array,
 )
+from echelonopt.presets import write_five_facility_config
+from echelonopt.sampling import generate_synthetic_history
+from reference_engine import (
+    FacilityState,
+    ReplenishmentOrder,
+    fulfill_orders,
+    place_order,
+    serve_customer,
+    sim_network as reference_sim_network,
+)
+from test_acceptance import _random_scenario
 
 
 def single_facility(base_lead=2):
@@ -316,3 +323,112 @@ class TestSimNetwork:
         for fid in net.ids:
             expected = out.trace[fid]["on_hand"][-1] + outstanding[fid]
             assert out.trace[fid]["inv_position"][-1] == expected
+
+
+def outcome_fields(outcome):
+    return {f.name: getattr(outcome, f.name) for f in fields(outcome)}
+
+
+def assert_matches_reference(network, policy, history, cfg, replication,
+                             record):
+    got = sim_network(network, policy, history, cfg, replication,
+                      record_trace=record, record_events=record)
+    want = reference_sim_network(network, policy, history, cfg, replication,
+                                 record_trace=record, record_events=record)
+    assert outcome_fields(got) == outcome_fields(want)
+
+
+class TestMatchesReferenceEngine:
+    def test_invariant_fuzz_networks(self):
+        # The 1,000 networks of acceptance criterion 5, both recorders on.
+        rng = np.random.default_rng(424242)
+        for _ in range(1000):
+            net, pol, hist, cfg = _random_scenario(rng)
+            assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+
+    @pytest.mark.parametrize("choice", [DemandChoice.BACKORDER,
+                                        DemandChoice.LOST_SALES])
+    def test_five_facility_preset(self, choice, tmp_path):
+        # Full preset scale (20 replications x 360 days), the initial
+        # policy plus box-wide repaired points with long order queues.
+        cfg = load_config(write_five_facility_config(tmp_path / "c.json"))
+        history = generate_synthetic_history(cfg.network, cfg.generator,
+                                             cfg.scenario.base_seed)
+        scenario = replace(cfg.scenario, demand_choice=choice)
+        space = cfg.space
+        points = space.latin_hypercube(np.random.default_rng(7), 3)
+        policies = [cfg.initial_policy] + [
+            PolicyVector.from_array(
+                cfg.network, repair_policy_array(x, space.lower, space.upper))
+            for x in points]
+        for policy in policies:
+            for rep in range(1, scenario.replications + 1):
+                for record in (False, True):
+                    assert_matches_reference(cfg.network, policy, history,
+                                             scenario, rep, record)
+
+
+class TestEventConventions:
+    def test_zero_lead_lands_next_morning(self):
+        # Ordered and shipped on day 1 with lead 0: the ship event says
+        # arrival_day 1, but day 1's arrivals phase has run, so the goods
+        # arrive on day 2.
+        net = single_facility(base_lead=0)
+        pol = PolicyVector({"store": 80}, {"store": 100})
+        hist = constant_history(net, demand=10)
+        cfg = ScenarioConfig(horizon=3, replications=1, base_seed=1)
+        out = sim_network(net, pol, hist, cfg, 1, record_trace=True,
+                          record_events=True)
+        ships = [e for e in out.events if e[3] == "ship"]
+        arrives = [e for e in out.events if e[3] == "arrive"]
+        assert ships[0][1] == 1 and ships[0][4]["arrival_day"] == 1
+        assert arrives[0][1] == 2
+        assert arrives[0][4]["order_id"] == ships[0][4]["order_id"]
+        assert out.trace["store"]["on_hand"][:2] == [80, 90]
+
+    def test_shipment_due_after_horizon_never_arrives(self):
+        net = single_facility(base_lead=5)
+        pol = PolicyVector({"store": 95}, {"store": 100})
+        hist = constant_history(net, demand=10)
+        cfg = ScenarioConfig(horizon=3, replications=1, base_seed=1)
+        out = sim_network(net, pol, hist, cfg, 1, record_events=True)
+        ships = [e for e in out.events if e[3] == "ship"]
+        assert ships and all(e[4]["arrival_day"] > 3 for e in ships)
+        assert not [e for e in out.events if e[3] == "arrive"]
+        assert out.final_on_hand["store"] == 90 - 3 * 10
+
+    def test_arrivals_in_network_order_then_creation_order(self):
+        # "b" ships on day 1 and "a" on day 2, both landing on day 4:
+        # "a" comes first in the network, so it arrives first.
+        net = NetworkSpec([
+            FacilitySpec("a", SOURCE, 2, 0.5, True),
+            FacilitySpec("b", SOURCE, 3, 0.5, True),
+        ])
+        pol = PolicyVector({"a": 80, "b": 95}, {"a": 100, "b": 100})
+        hist = HistoryDataset(demand={"a": [5], "b": [0]},
+                              lead_delta={"a": [0], "b": [0]})
+        cfg = ScenarioConfig(horizon=4, replications=1, base_seed=1)
+        out = sim_network(net, pol, hist, cfg, 1, record_events=True)
+        created = {e[4]["order_id"]: e[1] for e in out.events
+                   if e[3] == "ship"}
+        arrivals = [(e[2], created[e[4]["order_id"]])
+                    for e in out.events if e[3] == "arrive"]
+        assert arrivals == [("a", 2), ("b", 1)]
+
+    def test_blocked_head_grabbing_nothing_emits_zero_reserve(self):
+        # Both start empty.  The hub's own day-1 order lands on day 6; the
+        # store's day-1 order reaches the head of the hub's queue on day
+        # 2, grabs 0 units and blocks until then.
+        net = chain(base_lead_hub=5, base_lead_store=1)
+        pol = PolicyVector({"hub": 0, "store": 40},
+                           {"hub": 100, "store": 50})
+        hist = constant_history(net, demand=10)
+        cfg = ScenarioConfig(horizon=8, replications=1, base_seed=1,
+                             initial_inventory_fraction=0.0)
+        out = sim_network(net, pol, hist, cfg, 1, record_events=True)
+        reserves = [e for e in out.events if e[3] == "reserve"]
+        assert [(day, fid, data) for _, day, fid, _, data in reserves] == [
+            (2, "hub", {"order_id": 1, "quantity": 0})]
+        hub_ships = [e[1] for e in out.events
+                     if e[3] == "ship" and e[2] == "hub"]
+        assert hub_ships[0] == 6

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 
 from echelonopt.config import STRATEGIES
@@ -68,3 +70,13 @@ def test_comparison_table_layout_and_alignment():
     lines = text.splitlines()
     assert lines[1].startswith("-")
     assert len(lines) == len(rows) + 1
+
+
+def test_cpu_time_row_shows_process_time_not_wall_time():
+    net, hist, scenario, policy, space = tiny_scenario()
+    result = run_strategy("nelder-mead", net, hist, scenario, space, policy,
+                          settings={"max_evaluations": 5}, seed=1)
+    assert result.run.cpu_time_s > 0.0
+    result.run = replace(result.run, wall_time_s=600.0, cpu_time_s=90.0)
+    rows = comparison_table([result], net)
+    assert rows[-1] == ["CPU time (minutes)", "1.50"]

@@ -47,6 +47,23 @@ class TestBootstrap:
             freq = np.mean(draws == value)
             assert abs(freq - 1 / 3) < 3 * sigma
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 7, 360, 1000])
+    def test_block_draws_equal_scalar_draws(self, n):
+        # The engine prefetches each lead stream as one block in place of
+        # one draw per shipment; the common random numbers stay the same
+        # only while a block, also one continued in a second call,
+        # reproduces the scalar sequence.
+        samples = np.arange(n) * 3
+        key = StreamKey(7, 2, "store", StreamPurpose.LEAD)
+        scalar_rng = key.generator()
+        scalar = [bootstrap_draw(samples, scalar_rng) for _ in range(400)]
+        block = bootstrap_draw_array(samples, key.generator(), 400)
+        assert block.tolist() == scalar
+        chunked_rng = key.generator()
+        chunks = (bootstrap_draw_array(samples, chunked_rng, 150).tolist()
+                  + bootstrap_draw_array(samples, chunked_rng, 250).tolist())
+        assert chunks == scalar
+
     def test_same_stream_key_reproduces_sequence(self):
         key = StreamKey(99, 3, "store", StreamPurpose.LEAD)
         first = bootstrap_draw_array([1, 2, 3, 4], key.generator(), 50)
