@@ -10,16 +10,14 @@ against the 95% targets.
 Run:  python3 demos/02_evaluate_five_facility.py
 """
 
-from echelonopt.config import load_config
-from echelonopt.objective import evaluate
-from echelonopt.presets import write_five_facility_config
-from echelonopt.sampling import generate_synthetic_history
-
-import tempfile
 from pathlib import Path
 
-with tempfile.TemporaryDirectory() as tmp:
-    cfg = load_config(write_five_facility_config(Path(tmp) / "config.json"))
+from echelonopt.config import load_config
+from echelonopt.objective import evaluate
+from echelonopt.sampling import generate_synthetic_history
+
+cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                  / "five_facility.json")
 
 history = generate_synthetic_history(cfg.network, cfg.generator,
                                      seed=cfg.scenario.base_seed)

@@ -8,27 +8,19 @@ shrinks the starting policy a lot; watch the best-so-far column drop.
 Run:  python3 demos/03_optimize_rbf.py            (about half a minute)
 """
 
-import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from echelonopt.config import load_config
 from echelonopt.harness import run_strategy
-from echelonopt.model import ScenarioConfig
-from echelonopt.presets import write_five_facility_config
 from echelonopt.sampling import generate_synthetic_history
 
-with tempfile.TemporaryDirectory() as tmp:
-    cfg = load_config(write_five_facility_config(Path(tmp) / "config.json"))
-
+cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                  / "five_facility.json")
 history = generate_synthetic_history(cfg.network, cfg.generator,
                                      seed=cfg.scenario.base_seed)
 # 5 replications keep each objective call quick for a demo
-scenario = ScenarioConfig(
-    horizon=cfg.scenario.horizon, replications=5,
-    penalty_rho=cfg.scenario.penalty_rho,
-    demand_choice=cfg.scenario.demand_choice,
-    initial_inventory_fraction=cfg.scenario.initial_inventory_fraction,
-    base_seed=cfg.scenario.base_seed)
+scenario = replace(cfg.scenario, replications=5)
 
 
 def progress(i, x, z, best):

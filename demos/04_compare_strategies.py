@@ -9,7 +9,7 @@ policies, evaluation counts, and CPU time.
 Run:  python3 demos/04_compare_strategies.py       (about a minute)
 """
 
-import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 from echelonopt.config import load_config
@@ -19,22 +19,14 @@ from echelonopt.harness import (
     format_table,
     run_strategy,
 )
-from echelonopt.model import ScenarioConfig
 from echelonopt.objective import evaluate
-from echelonopt.presets import write_five_facility_config
 from echelonopt.sampling import generate_synthetic_history
 
-with tempfile.TemporaryDirectory() as tmp:
-    cfg = load_config(write_five_facility_config(Path(tmp) / "config.json"))
-
+cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
+                  / "five_facility.json")
 history = generate_synthetic_history(cfg.network, cfg.generator,
                                      seed=cfg.scenario.base_seed)
-scenario = ScenarioConfig(
-    horizon=cfg.scenario.horizon, replications=5,
-    penalty_rho=cfg.scenario.penalty_rho,
-    demand_choice=cfg.scenario.demand_choice,
-    initial_inventory_fraction=cfg.scenario.initial_inventory_fraction,
-    base_seed=cfg.scenario.base_seed)
+scenario = replace(cfg.scenario, replications=5)
 
 initial_z = evaluate(cfg.initial_policy, cfg.network, history, scenario).z
 print(f"starting policy Z = {initial_z:.1f}\n")

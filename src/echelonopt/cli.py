@@ -43,26 +43,27 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _scenario_with_overrides(cfg: LoadedConfig,
-                             args: argparse.Namespace) -> ScenarioConfig:
-    s = cfg.scenario
-    choice = s.demand_choice
-    if getattr(args, "choice", None) and args.choice != "both":
-        choice = DemandChoice(args.choice)
+def _given(args: argparse.Namespace, flags: dict[str, str]) -> dict:
+    """{field: value} for each flag in ``flags`` (field -> flag) given."""
+    # A given 0 is passed on, so the ScenarioConfig or Budget check
+    # downstream rejects it.
+    return {field: getattr(args, flag) for field, flag in flags.items()
+            if getattr(args, flag, None) is not None}
 
-    def override(name: str, configured):
-        # A given 0 is passed on, so ScenarioConfig rejects it.
-        value = getattr(args, name, None)
-        return configured if value is None else value
 
-    return ScenarioConfig(
-        horizon=override("horizon", s.horizon),
-        replications=override("replications", s.replications),
-        penalty_rho=s.penalty_rho,
-        demand_choice=choice,
-        initial_inventory_fraction=s.initial_inventory_fraction,
-        base_seed=override("seed", s.base_seed),
-    )
+def _scenario_with_overrides(cfg: LoadedConfig, args: argparse.Namespace,
+                             choice: str | None = None) -> ScenarioConfig:
+    """The configured scenario with each flag that was given laid over it.
+
+    ``choice`` names the demand choice when the command picks it itself.
+    """
+    changes = _given(args, {"horizon": "horizon",
+                            "replications": "replications",
+                            "base_seed": "seed"})
+    choice = choice or getattr(args, "choice", None)
+    if choice:
+        changes["demand_choice"] = DemandChoice(choice)
+    return replace(cfg.scenario, **changes)
 
 
 def _policy_from_args(cfg: LoadedConfig,
@@ -72,8 +73,21 @@ def _policy_from_args(cfg: LoadedConfig,
     return cfg.initial_policy
 
 
-def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
-    manifest = {
+def _write_json(path: Path, payload: dict) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _policy_payload(policy: PolicyVector, network) -> dict:
+    return {fid: {"reorder_point": policy.reorder_point[fid],
+                  "base_stock": policy.base_stock[fid]}
+            for fid in network.ids}
+
+
+def _make_out_dir(args: argparse.Namespace) -> Path:
+    """Create ``--out`` and write the manifest of the run's inputs there."""
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_json(out_dir / "manifest.json", {
         "subcommand": args.command,
         "config": str(Path(args.config).resolve()),
         "history_dir": (str(Path(args.history_dir).resolve())
@@ -81,20 +95,18 @@ def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
         "out": str(out_dir.resolve()),
         "seed_override": getattr(args, "seed", None),
         "timestamp": datetime.now(timezone.utc).isoformat(),
-    }
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    })
+    return out_dir
 
 
 def cmd_generate_data(args) -> int:
     cfg = load_config(args.config)
     if cfg.generator is None:
         raise ConfigError("config has no generator section")
-    seed = args.seed if args.seed is not None else cfg.scenario.base_seed
+    seed = _scenario_with_overrides(cfg, args).base_seed
     history = generate_synthetic_history(cfg.network, cfg.generator, seed)
-    out_dir = Path(args.out)
+    out_dir = _make_out_dir(args)
     written = write_history(history, out_dir)
-    _write_manifest(out_dir, args)
     print(f"wrote {len(written)} history files to {out_dir} (seed {seed})")
     for fid, series in sorted(history.demand.items()):
         print(f"  demand[{fid}]: n={len(series)} mean={series.mean():.2f} "
@@ -124,15 +136,14 @@ def cmd_simulate(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["day", "facility", "on_hand", "inv_position",
-                             "backorders", "demand", "shipped"])
+            columns = ["on_hand", "inv_position", "backorders", "demand",
+                       "shipped"]
+            writer.writerow(["day", "facility", *columns])
             for fid in cfg.network.ids:
                 t = outcome.trace[fid]
                 for day in range(scenario.horizon):
-                    writer.writerow([day + 1, fid, t["on_hand"][day],
-                                     t["inv_position"][day],
-                                     t["backorders"][day],
-                                     t["demand"][day], t["shipped"][day]])
+                    writer.writerow([day + 1, fid,
+                                     *(t[c][day] for c in columns)])
         print(f"trace written to {path}")
     return 0
 
@@ -168,45 +179,31 @@ def cmd_evaluate(args) -> int:
         "std_beta": report.std_beta,
         "mean_on_hand": report.mean_on_hand,
         "targets": targets,
-        "policy": {fid: {"reorder_point": policy.reorder_point[fid],
-                         "base_stock": policy.base_stock[fid]}
-                   for fid in cfg.network.ids},
+        "policy": _policy_payload(policy, cfg.network),
         "feasible": all_met,
     }
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        (out_dir / "evaluation.json").write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        _write_manifest(out_dir, args)
+        _write_json(_make_out_dir(args) / "evaluation.json", payload)
     else:
         print(json.dumps(payload, sort_keys=True))
     return 0 if all_met else 2
 
 
-def _policy_payload(policy: PolicyVector, network) -> dict:
-    return {fid: {"reorder_point": policy.reorder_point[fid],
-                  "base_stock": policy.base_stock[fid]}
-            for fid in network.ids}
-
-
 def _settings_overrides(args) -> dict:
-    # A given 0 is passed on, so Budget rejects it.
-    overrides = {}
-    if getattr(args, "max_evals", None) is not None:
-        overrides["max_evaluations"] = args.max_evals
-    if getattr(args, "max_minutes", None) is not None:
-        overrides["max_minutes"] = args.max_minutes
-    return overrides
+    return _given(args, {"max_evaluations": "max_evals",
+                         "max_minutes": "max_minutes"})
 
 
 def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
-                      out_dir: Path, seed: int | None,
-                      overrides: dict, initial_z: float | None = None):
-    log_path = out_dir / f"evaluations_{strategy}_{scenario.demand_choice.value}.csv"
-    settings = dict(cfg.optimizers[strategy])
-    settings.update(overrides)
-    with open(log_path, "w", newline="") as fh:
+                      out_dir: Path, seed: int | None, overrides: dict,
+                      stem: str, initial_z: float | None = None):
+    """Run one strategy; write its evaluation log, best policy and summary."""
+    choice = scenario.demand_choice.value
+    paths = {"log": out_dir / f"evaluations_{strategy}_{choice}.csv",
+             "policy": out_dir / f"best_policy_{stem}.json",
+             "summary": out_dir / f"summary_{stem}.json"}
+    settings = {**cfg.optimizers.get(strategy, {}), **overrides}
+    with open(paths["log"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["evaluation", "point", "z", "best_so_far"])
 
@@ -218,28 +215,11 @@ def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
                               cfg.space, cfg.initial_policy,
                               settings=settings, seed=seed,
                               initial_z=initial_z, log=log)
-    return result, log_path
 
-
-def cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    history = read_history(args.history_dir, cfg.network)
-    scenario = _scenario_with_overrides(cfg, args)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, args)
-
-    result, log_path = _run_one_strategy(
-        cfg, history, scenario, args.strategy, out_dir,
-        seed=args.seed, overrides=_settings_overrides(args))
-
-    best_path = out_dir / f"best_policy_{args.strategy}.json"
-    best_path.write_text(json.dumps(
-        _policy_payload(result.policy, cfg.network), indent=2,
-        sort_keys=True) + "\n")
-    summary = {
-        "strategy": args.strategy,
-        "choice": scenario.demand_choice.value,
+    _write_json(paths["policy"], _policy_payload(result.policy, cfg.network))
+    _write_json(paths["summary"], {
+        "strategy": strategy,
+        "choice": choice,
         "best_z": result.run.best_value,
         "initial_z": result.initial_z,
         "reduction_pct": result.reduction_pct,
@@ -248,62 +228,51 @@ def cmd_optimize(args) -> int:
         "cpu_time_minutes": result.run.cpu_time_s / 60.0,
         "feasible": result.feasible,
         "mean_beta": result.report.mean_beta,
-        "settings": result.run.settings,
-    }
-    (out_dir / f"summary_{args.strategy}.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        "settings": result.settings,
+    })
+    return result, paths
+
+
+def cmd_optimize(args) -> int:
+    cfg = load_config(args.config)
+    history = read_history(args.history_dir, cfg.network)
+    scenario = _scenario_with_overrides(cfg, args)
+    out_dir = _make_out_dir(args)
+
+    result, paths = _run_one_strategy(
+        cfg, history, scenario, args.strategy, out_dir, seed=args.seed,
+        overrides=_settings_overrides(args), stem=args.strategy)
     print(f"strategy {args.strategy}: best Z {result.run.best_value:.2f} "
           f"({result.reduction_pct:.1f}% reduction from the initial guess), "
           f"{result.run.evaluations_used} evaluations, "
           f"{result.run.wall_time_s / 60.0:.2f} minutes")
-    print(f"evaluation log: {log_path}")
-    print(f"best policy: {best_path}")
+    print(f"evaluation log: {paths['log']}")
+    print(f"best policy: {paths['policy']}")
     return 0
 
 
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     history = read_history(args.history_dir, cfg.network)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_manifest(out_dir, args)
+    out_dir = _make_out_dir(args)
 
     strategies = [args.strategy] if args.strategy else list(STRATEGIES)
     choices = (["backorder", "lost-sales"] if args.choice == "both"
                else [args.choice or cfg.scenario.demand_choice.value])
-    shared_seed = (args.seed if args.seed is not None
-                   else cfg.scenario.base_seed)
     overrides = _settings_overrides(args)
 
     for choice in choices:
-        scenario = replace(_scenario_with_overrides(cfg, args),
-                           demand_choice=DemandChoice(choice))
+        scenario = _scenario_with_overrides(cfg, args, choice)
         initial_z = evaluate(cfg.initial_policy, cfg.network, history,
                              scenario).z
         results = []
         for strategy in strategies:
-            seed = derive_strategy_seed(shared_seed, strategy)
-            result, _ = _run_one_strategy(cfg, history, scenario, strategy,
-                                          out_dir, seed=seed,
-                                          overrides=overrides,
-                                          initial_z=initial_z)
+            seed = derive_strategy_seed(scenario.base_seed, strategy)
+            result, _ = _run_one_strategy(
+                cfg, history, scenario, strategy, out_dir, seed=seed,
+                overrides=overrides, stem=f"{strategy}_{choice}",
+                initial_z=initial_z)
             results.append(result)
-            (out_dir / f"best_policy_{strategy}_{choice}.json").write_text(
-                json.dumps(_policy_payload(result.policy, cfg.network),
-                           indent=2, sort_keys=True) + "\n")
-            (out_dir / f"summary_{strategy}_{choice}.json").write_text(
-                json.dumps({
-                    "strategy": strategy,
-                    "choice": choice,
-                    "best_z": result.run.best_value,
-                    "initial_z": initial_z,
-                    "reduction_pct": result.reduction_pct,
-                    "evaluations": result.run.evaluations_used,
-                    "wall_time_minutes": result.run.wall_time_s / 60.0,
-                    "cpu_time_minutes": result.run.cpu_time_s / 60.0,
-                    "feasible": result.feasible,
-                    "mean_beta": result.report.mean_beta,
-                }, indent=2, sort_keys=True) + "\n")
 
         rows = comparison_table(results, cfg.network)
         csv_path = out_dir / f"comparison_{choice}.csv"

@@ -56,7 +56,7 @@ class LoadedConfig:
     initial_policy: PolicyVector
     space: SearchSpace
     generator: HistoryGenParams | None
-    optimizers: dict[str, dict]
+    optimizers: dict[str, dict]  # only the keys the file gives
     path: str
 
 
@@ -91,16 +91,12 @@ def _load_scenario(raw: dict) -> ScenarioConfig:
     except ValueError:
         raise ConfigError(f"scenario: demand_choice {choice!r} must be "
                           "'backorder' or 'lost-sales'") from None
+    casts = {"horizon": int, "replications": int, "penalty_rho": float,
+             "initial_inventory_fraction": float, "base_seed": int}
     try:
-        return ScenarioConfig(
-            horizon=int(raw.get("horizon", 360)),
-            replications=int(raw.get("replications", 20)),
-            penalty_rho=float(raw.get("penalty_rho", 1.0e6)),
-            demand_choice=demand_choice,
-            initial_inventory_fraction=float(
-                raw.get("initial_inventory_fraction", 0.9)),
-            base_seed=int(raw.get("base_seed", 0)),
-        )
+        return ScenarioConfig(demand_choice=demand_choice,
+                              **{key: cast(raw[key])
+                                 for key, cast in casts.items() if key in raw})
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from None
 
@@ -167,27 +163,49 @@ def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
         raise ConfigError(f"generator: {exc}") from None
 
 
+def merge_optimizer_settings(strategy: str, given: dict) -> dict:
+    """The strategy's defaults with ``given`` laid over them.
+
+    Each value is cast to the type of its default.  A key the strategy
+    has no default for raises ConfigError.
+    """
+    defaults = DEFAULT_OPTIMIZER_SETTINGS[strategy]
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ConfigError(f"optimizers.{strategy}: unknown settings "
+                          f"{unknown}; expected some of {sorted(defaults)}")
+    merged = {}
+    for key, default in defaults.items():
+        try:
+            merged[key] = type(default)(given.get(key, default))
+        except (TypeError, ValueError):
+            raise ConfigError(f"optimizers.{strategy}.{key}: expected "
+                              f"{type(default).__name__}, got "
+                              f"{given[key]!r}") from None
+    return merged
+
+
 def _load_optimizers(raw: dict) -> dict[str, dict]:
-    settings = {}
-    for strategy, defaults in DEFAULT_OPTIMIZER_SETTINGS.items():
-        merged = dict(defaults)
-        merged.update(raw.get(strategy, {}))
-        settings[strategy] = merged
     unknown = set(raw) - set(DEFAULT_OPTIMIZER_SETTINGS)
     if unknown:
         raise ConfigError(f"optimizers: unknown strategies {sorted(unknown)}")
-    return settings
+    for strategy, given in raw.items():
+        merge_optimizer_settings(strategy, given)
+    return {strategy: dict(given) for strategy, given in raw.items()}
+
+
+def _read_json(path: str | Path, kind: str) -> dict:
+    path = Path(path)
+    if not path.exists():
+        raise ConfigError(f"{kind} file not found: {path}")
+    try:
+        return json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{kind} file {path} is not valid JSON: {exc}")
 
 
 def load_config(path: str | Path) -> LoadedConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}")
-
+    raw = _read_json(path, "config")
     network = _load_network(_require(raw, "network", "config"))
     scenario = _load_scenario(raw.get("scenario", {}))
     policy = _load_policy(_require(raw, "initial_policy", "config"),
@@ -207,14 +225,7 @@ def load_config(path: str | Path) -> LoadedConfig:
 
 
 def load_policy_file(path: str | Path, network: NetworkSpec) -> PolicyVector:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"policy file not found: {path}")
-    try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"policy file {path} is not valid JSON: {exc}")
-    return _load_policy(raw, network, "policy")
+    return _load_policy(_read_json(path, "policy"), network, "policy")
 
 
 def demand_file(history_dir: str | Path, fid: str) -> Path:

@@ -18,6 +18,11 @@ Replenishment mechanics:
 * Order quantity is base stock minus current *on-hand* stock, placed when
   the inventory *position* reaches the reorder point.  Nonpositive
   quantities are silently skipped so any repaired policy is simulable.
+* The inventory position is on-hand stock plus every undelivered order
+  (queued upstream or in transit).  Under backorders the customer
+  backlog does *not* lower it: a facility with a backlog reorders only
+  once on-hand plus on-order stock falls to the reorder point, and the
+  order size ignores the backlog too.
 * A facility's order queue is strict FIFO with head-of-line blocking: the
   head order grabs whatever stock is available once, then waits until the
   full remainder is on hand.  Orders are never partially shipped; each
@@ -116,8 +121,13 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
     Initial state is on_hand = inv_position = round(fraction * base
     stock) with empty queues and zero counters.  Returns average end-of-
     day on-hand stock and the fill rate per facility (facilities that saw
-    no demand report a fill rate of 1).
+    no demand report a fill rate of 1).  Replications are numbered from
+    1; ``generate_synthetic_history`` draws the history itself from
+    replication 0's stream keys.
     """
+    if replication_index < 1:
+        raise ValueError(f"replication_index must be >= 1, got "
+                         f"{replication_index}")
     network.require_valid()
     ids = network.ids
     for fid in ids:

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_OPTIMIZER_SETTINGS, STRATEGIES
+from .config import STRATEGIES, merge_optimizer_settings
 from .model import (
     HistoryDataset,
     NetworkSpec,
@@ -26,6 +26,10 @@ from .objective import ObjectiveReport, evaluate
 from .optim import Budget, OptimizerRun, SearchSpace, minimize
 
 _STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGIES)}
+# Settings that make up the Budget or the seed; a strategy's other
+# settings are passed to its optimizer as keyword arguments.
+_RUN_KEYS = ("max_evaluations", "max_minutes", "cycles",
+             "iterations_per_cycle", "seed")
 
 
 def derive_strategy_seed(shared_seed: int, strategy: str) -> int:
@@ -44,26 +48,6 @@ def make_policy_objective(network: NetworkSpec, history: HistoryDataset,
     return objective
 
 
-def make_repair(space: SearchSpace) -> Callable[[np.ndarray], np.ndarray]:
-    return lambda x: repair_policy_array(x, space.lower, space.upper)
-
-
-def budget_from_settings(settings: dict) -> Budget:
-    return Budget(
-        max_evaluations=int(settings.get("max_evaluations", 1000)),
-        max_wall_time_s=float(settings.get("max_minutes", 1440.0)) * 60.0,
-        cycles=int(settings.get("cycles", 100)),
-        iterations_per_cycle=int(settings.get("iterations_per_cycle", 50)),
-    )
-
-
-def strategy_kwargs(strategy: str, settings: dict) -> dict:
-    if strategy == "gp":
-        return {"kappa": float(settings.get("kappa", 50.0)),
-                "n_random_starts": int(settings.get("n_random_starts", 10))}
-    return {}
-
-
 @dataclass
 class StrategyResult:
     """One strategy's run plus the diagnostics the comparison table needs."""
@@ -74,6 +58,7 @@ class StrategyResult:
     report: ObjectiveReport
     initial_z: float
     targets: dict
+    settings: dict  # the run's defaults merged with what the caller gave
 
     @property
     def reduction_pct(self) -> float:
@@ -93,28 +78,38 @@ def run_strategy(strategy: str, network: NetworkSpec,
                  settings: dict | None = None, seed: int | None = None,
                  initial_z: float | None = None,
                  log=None) -> StrategyResult:
-    """Run one strategy end to end against the inventory objective."""
-    merged = dict(DEFAULT_OPTIMIZER_SETTINGS[strategy])
-    if settings:
-        merged.update(settings)
-    if seed is not None:
-        merged["seed"] = seed
+    """Run one strategy end to end against the inventory objective.
 
-    objective = make_policy_objective(network, history, scenario)
-    repair = make_repair(space)
-    x0 = initial_policy.to_array(network)
+    ``settings`` overrides the strategy's keys in
+    ``DEFAULT_OPTIMIZER_SETTINGS``, and ``seed``, when given, overrides
+    both.
+    """
+    given = dict(settings or {})
+    if seed is not None:
+        given["seed"] = seed
+    merged = merge_optimizer_settings(strategy, given)
+    budget = Budget(
+        max_evaluations=merged["max_evaluations"],
+        max_wall_time_s=merged["max_minutes"] * 60.0,
+        **{key: merged[key] for key in ("cycles", "iterations_per_cycle")
+           if key in merged})
+    tuning = {key: value for key, value in merged.items()
+              if key not in _RUN_KEYS}
+
     if initial_z is None:
         initial_z = evaluate(initial_policy, network, history, scenario).z
 
-    run = minimize(objective, space, budget_from_settings(merged),
-                   strategy=strategy, seed=int(merged.get("seed", 0)),
-                   x0=x0, repair=repair, log=log,
-                   **strategy_kwargs(strategy, merged))
+    run = minimize(make_policy_objective(network, history, scenario), space,
+                   budget, strategy=strategy, seed=merged["seed"],
+                   x0=initial_policy.to_array(network),
+                   repair=lambda x: repair_policy_array(x, space.lower,
+                                                        space.upper),
+                   log=log, **tuning)
     policy = PolicyVector.from_array(network, run.best_point)
     report = evaluate(policy, network, history, scenario)
     return StrategyResult(strategy=strategy, run=run, policy=policy,
                           report=report, initial_z=initial_z,
-                          targets=network.targets)
+                          targets=network.targets, settings=merged)
 
 
 def comparison_table(results: list[StrategyResult],

@@ -87,7 +87,6 @@ class OptimizerRun:
     """Result of one strategy run."""
 
     strategy: str
-    settings: dict
     best_point: np.ndarray
     best_value: float
     best_so_far_trace: np.ndarray
@@ -158,13 +157,12 @@ class EvaluationTracker:
             self.log(self.evaluations, x, value, self.best_value)
         return value
 
-    def finish(self, strategy: str, settings: dict) -> OptimizerRun:
+    def finish(self, strategy: str) -> OptimizerRun:
         if self.best_point is None:
             raise BudgetExhaustedError(
                 "budget exhausted before the first evaluation")
         return OptimizerRun(
             strategy=strategy,
-            settings=dict(settings),
             best_point=self.best_point.copy(),
             best_value=self.best_value,
             best_so_far_trace=np.array(self.trace),
@@ -186,16 +184,11 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     from .nelder_mead import nelder_mead_restart
     from .rbf import rbf_optimize
 
-    budget = budget or Budget()
-    if strategy == "nelder-mead":
-        return nelder_mead_restart(objective, space, budget, seed=seed,
-                                   x0=x0, repair=repair, log=log,
-                                   **strategy_kwargs)
-    if strategy == "gp":
-        return gp_optimize(objective, space, budget, seed=seed, x0=x0,
-                           repair=repair, log=log, **strategy_kwargs)
-    if strategy == "rbf":
-        return rbf_optimize(objective, space, budget, seed=seed, x0=x0,
-                            repair=repair, log=log, **strategy_kwargs)
-    raise ValueError(f"unknown strategy {strategy!r}; "
-                     "expected nelder-mead, gp, or rbf")
+    optimizers = {"nelder-mead": nelder_mead_restart, "gp": gp_optimize,
+                  "rbf": rbf_optimize}
+    if strategy not in optimizers:
+        raise ValueError(f"unknown strategy {strategy!r}; "
+                         "expected nelder-mead, gp, or rbf")
+    return optimizers[strategy](objective, space, budget or Budget(),
+                                seed=seed, x0=x0, repair=repair, log=log,
+                                **strategy_kwargs)

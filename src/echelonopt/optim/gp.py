@@ -207,10 +207,6 @@ def gp_optimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
     tracker = EvaluationTracker(objective, budget, repair=repair, log=log)
-    settings = {"seed": seed, "kappa": kappa,
-                "n_random_starts": n_random_starts,
-                "cycles": budget.cycles,
-                "iterations_per_cycle": budget.iterations_per_cycle}
     min_gap = 1e-9 * float(np.max(space.span))
 
     try:
@@ -241,4 +237,4 @@ def gp_optimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
                 xs.append(tracker.points[-1])
     except _StopSearch:
         pass
-    return tracker.finish("gp", settings)
+    return tracker.finish("gp")

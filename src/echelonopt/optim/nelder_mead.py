@@ -57,9 +57,6 @@ def nelder_mead_restart(objective: Callable[[np.ndarray], float],
     x0 = space.clip(np.asarray(x0, dtype=float))
 
     tracker = EvaluationTracker(objective, budget, repair=repair, log=log)
-    settings = {"seed": seed, "cycles": budget.cycles,
-                "iterations_per_cycle": budget.iterations_per_cycle,
-                "initial_step_fraction": initial_step_fraction}
     span = space.span
     collapse_size = collapse_tol * float(np.max(span))
 
@@ -116,4 +113,4 @@ def nelder_mead_restart(objective: Callable[[np.ndarray], float],
                 incumbent = tracker.best_point
     except _StopSearch:
         pass
-    return tracker.finish("nelder-mead", settings)
+    return tracker.finish("nelder-mead")

@@ -207,7 +207,6 @@ def rbf_optimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     """Alternate exploit/explore moves until the budget runs out."""
     rng = np.random.default_rng(seed)
     tracker = EvaluationTracker(objective, budget, repair=repair, log=log)
-    settings = {"seed": seed, "max_evaluations": budget.max_evaluations}
     dim = space.dim
 
     def unit(points) -> np.ndarray:
@@ -270,4 +269,4 @@ def rbf_optimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
             move += 1
     except _StopSearch:
         pass
-    return tracker.finish("rbf", settings)
+    return tracker.finish("rbf")

@@ -9,6 +9,7 @@ module-scoped fixtures.  Tolerances are pinned in-line.
 import json
 import time
 from collections import defaultdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -36,8 +37,10 @@ from echelonopt.optim import (
     nelder_mead_restart,
     rbf_optimize,
 )
-from echelonopt.presets import write_five_facility_config
 from echelonopt.sampling import generate_synthetic_history
+
+PRESET = (Path(__file__).resolve().parent.parent / "configs"
+          / "five_facility.json")
 
 
 def report(criterion: str, detail: str = ""):
@@ -360,7 +363,7 @@ DESK_REPLICATIONS = 5
 def desk_compare(tmp_path_factory):
     """Criterion-8 workload: CLI compare on the bundled scenario."""
     root = tmp_path_factory.mktemp("desk")
-    config_path = write_five_facility_config(root / "config.json")
+    config_path = PRESET
     history_dir = root / "history"
     assert main(["generate-data", "--config", str(config_path),
                  "--out", str(history_dir),

@@ -5,15 +5,17 @@ from pathlib import Path
 import pytest
 
 from echelonopt.cli import main
-from echelonopt.presets import write_five_facility_config
+from echelonopt.config import STRATEGIES
+from echelonopt.harness import derive_strategy_seed
 
+PRESET = (Path(__file__).resolve().parent.parent / "configs"
+          / "five_facility.json")
 TINY_OVERRIDES = ["--replications", "2", "--horizon", "60"]
 
 
 @pytest.fixture(scope="module")
-def config_path(tmp_path_factory):
-    root = tmp_path_factory.mktemp("scenario")
-    return str(write_five_facility_config(root / "config.json"))
+def config_path():
+    return str(PRESET)
 
 
 @pytest.fixture(scope="module")
@@ -68,6 +70,17 @@ class TestSimulate:
         assert rows[0] == ["day", "facility", "on_hand", "inv_position",
                            "backorders", "demand", "shipped"]
         assert len(rows) == 1 + 40 * 5
+
+    @pytest.mark.parametrize("replication", ["0", "-1"])
+    def test_replication_below_one_exits_one(self, config_path, history_dir,
+                                             replication, capsys):
+        # Replication 0's stream keys are the ones the history was drawn
+        # with, and negative indices wrap, so both are rejected.
+        code = main(["simulate", "--config", config_path,
+                     "--history-dir", history_dir, "--horizon", "10",
+                     "--replication", replication])
+        assert code == 1
+        assert "replication_index must be >= 1" in capsys.readouterr().err
 
 
 class TestEvaluate:
@@ -126,6 +139,10 @@ class TestOptimize:
         assert summary["evaluations"] == 30
         assert summary["cpu_time_minutes"] > 0.0
         assert summary["best_z"] <= summary["initial_z"]
+        configured = json.loads(PRESET.read_text())["optimizers"]["rbf"]
+        assert summary["settings"]["max_evaluations"] == 30
+        assert summary["settings"]["seed"] == configured["seed"]
+        assert summary["settings"]["max_minutes"] == configured["max_minutes"]
 
     def test_single_eval_budget_reports_initial_point(self, config_path,
                                                       history_dir, tmp_path):
@@ -196,6 +213,11 @@ class TestCompare:
         assert "Total iterations" in labels
         assert "CPU time (minutes)" in labels
         assert (out / "comparison_backorder.txt").exists()
+        summary = json.loads((out / "summary_gp_backorder.json").read_text())
+        base_seed = json.loads(PRESET.read_text())["scenario"]["base_seed"]
+        assert summary["settings"]["max_evaluations"] == 25
+        assert summary["settings"]["seed"] == derive_strategy_seed(base_seed,
+                                                                   "gp")
 
     def test_single_strategy_filter(self, config_path, history_dir,
                                     tmp_path):
@@ -223,9 +245,7 @@ class TestCompare:
 
 class TestConfigValidation:
     def base(self):
-        import copy
-        from echelonopt.presets import FIVE_FACILITY_CONFIG
-        return copy.deepcopy(FIVE_FACILITY_CONFIG)
+        return json.loads(PRESET.read_text())
 
     def write(self, tmp_path, raw):
         path = tmp_path / "bad.json"
@@ -253,6 +273,28 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="unknown strategies"):
             load_config(self.write(tmp_path, raw))
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_unknown_optimizer_setting_rejected(self, tmp_path, strategy):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        raw["optimizers"][strategy]["max_evals"] = 5
+        with pytest.raises(ConfigError, match="max_evals"):
+            load_config(self.write(tmp_path, raw))
+
+    def test_optimizer_setting_of_wrong_type_rejected(self, tmp_path):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        raw["optimizers"]["gp"]["kappa"] = "high"
+        with pytest.raises(ConfigError, match="gp.kappa"):
+            load_config(self.write(tmp_path, raw))
+
+    def test_optimizers_keep_only_the_given_keys(self, tmp_path):
+        from echelonopt.config import load_config
+        raw = self.base()
+        raw["optimizers"] = {"rbf": {"seed": 3}}
+        cfg = load_config(self.write(tmp_path, raw))
+        assert cfg.optimizers == {"rbf": {"seed": 3}}
+
     def test_invalid_network_rejected(self, tmp_path):
         from echelonopt.config import ConfigError, load_config
         raw = self.base()
@@ -260,12 +302,3 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="invalid network"):
             load_config(self.write(tmp_path, raw))
 
-
-def test_bundled_config_matches_presets(tmp_path):
-    # configs/five_facility.json is committed for CLI use; presets.py is
-    # the source of truth and they must not drift apart.
-    from echelonopt.presets import FIVE_FACILITY_CONFIG
-    committed = json.loads(
-        (Path(__file__).parent.parent / "configs"
-         / "five_facility.json").read_text())
-    assert committed == FIVE_FACILITY_CONFIG

@@ -16,7 +16,6 @@ from echelonopt.model import (
     ScenarioConfig,
     repair_policy_array,
 )
-from echelonopt.presets import write_five_facility_config
 from echelonopt.sampling import generate_synthetic_history
 from reference_engine import (
     FacilityState,
@@ -26,7 +25,7 @@ from reference_engine import (
     serve_customer,
     sim_network as reference_sim_network,
 )
-from test_acceptance import _random_scenario
+from test_acceptance import PRESET, _random_scenario
 
 
 def single_facility(base_lead=2):
@@ -324,6 +323,29 @@ class TestSimNetwork:
             expected = out.trace[fid]["on_hand"][-1] + outstanding[fid]
             assert out.trace[fid]["inv_position"][-1] == expected
 
+    def test_backlog_does_not_lower_inventory_position(self):
+        # Backorder mode: the position is on-hand plus in-transit stock,
+        # with no deduction for the customer backlog.  Day 2 orders
+        # 30 - 7 = 23 units (base stock minus on-hand), due on day 5, and
+        # days 3 and 4 stock out.  Were the backlog deducted, day 4's
+        # position would be 23 - 13 = 10 <= 15 and a second order would go
+        # out.
+        net = NetworkSpec([FacilitySpec("store", SOURCE, 3, 0.95, True)])
+        pol = PolicyVector({"store": 15}, {"store": 30})
+        hist = HistoryDataset(demand={"store": [10]},
+                              lead_delta={"store": [0]})
+        cfg = ScenarioConfig(horizon=6, replications=1, base_seed=1,
+                             demand_choice=DemandChoice.BACKORDER)
+        out = sim_network(net, pol, hist, cfg, 1, record_trace=True)
+        trace = out.trace["store"]
+        in_transit = 23
+        for day in (3, 4):
+            assert trace["backorders"][day - 1] > 0
+            assert (trace["inv_position"][day - 1]
+                    == trace["on_hand"][day - 1] + in_transit)
+        assert trace["backorders"][:4] == [0, 0, 3, 13]
+        assert trace["inv_position"][:4] == [17, 30, 23, 23]
+
 
 def outcome_fields(outcome):
     return {f.name: getattr(outcome, f.name) for f in fields(outcome)}
@@ -348,10 +370,10 @@ class TestMatchesReferenceEngine:
 
     @pytest.mark.parametrize("choice", [DemandChoice.BACKORDER,
                                         DemandChoice.LOST_SALES])
-    def test_five_facility_preset(self, choice, tmp_path):
+    def test_five_facility_preset(self, choice):
         # Full preset scale (20 replications x 360 days), the initial
         # policy plus box-wide repaired points with long order queues.
-        cfg = load_config(write_five_facility_config(tmp_path / "c.json"))
+        cfg = load_config(PRESET)
         history = generate_synthetic_history(cfg.network, cfg.generator,
                                              cfg.scenario.base_seed)
         scenario = replace(cfg.scenario, demand_choice=choice)
