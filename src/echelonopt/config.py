@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,6 +67,15 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _integer(value, context: str) -> int:
+    """``value`` as an int; fractions, strings and booleans raise."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    raise ConfigError(f"{context}: expected an integer, got {value!r}")
+
+
 def _load_network(raw: dict) -> NetworkSpec:
     facilities = []
     for entry in _require(raw, "facilities", "network"):
@@ -85,24 +95,34 @@ def _load_network(raw: dict) -> NetworkSpec:
 
 
 def _load_scenario(raw: dict) -> ScenarioConfig:
+    ints = ("horizon", "replications", "base_seed")
+    floats = ("penalty_rho", "initial_inventory_fraction")
+    known = {*ints, *floats, "demand_choice"}
+    unknown = sorted(set(raw) - known)
+    if unknown:
+        raise ConfigError(f"scenario: unknown keys {unknown}; expected some "
+                          f"of {sorted(known)}")
     choice = str(raw.get("demand_choice", "backorder")).lower()
     try:
         demand_choice = DemandChoice(choice)
     except ValueError:
         raise ConfigError(f"scenario: demand_choice {choice!r} must be "
                           "'backorder' or 'lost-sales'") from None
-    casts = {"horizon": int, "replications": int, "penalty_rho": float,
-             "initial_inventory_fraction": float, "base_seed": int}
+    values = {key: _integer(raw[key], f"scenario.{key}")
+              for key in ints if key in raw}
     try:
-        return ScenarioConfig(demand_choice=demand_choice,
-                              **{key: cast(raw[key])
-                                 for key, cast in casts.items() if key in raw})
+        values.update({key: float(raw[key]) for key in floats if key in raw})
+        return ScenarioConfig(demand_choice=demand_choice, **values)
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from None
 
 
 def _load_policy(raw: dict, network: NetworkSpec,
                  context: str) -> PolicyVector:
+    unknown = sorted(set(raw) - set(network.ids))
+    if unknown:
+        raise ConfigError(f"{context}: facilities {unknown} are not in the "
+                          "network")
     rop, base = {}, {}
     for fid in network.ids:
         entry = _require(raw, fid, context)
@@ -166,8 +186,9 @@ def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
 def merge_optimizer_settings(strategy: str, given: dict) -> dict:
     """The strategy's defaults with ``given`` laid over them.
 
-    Each value is cast to the type of its default.  A key the strategy
-    has no default for raises ConfigError.
+    Each value is cast to the type of its default; an int setting takes
+    only integral numbers.  A key the strategy has no default for, or a
+    value that does not fit, raises ConfigError.
     """
     defaults = DEFAULT_OPTIMIZER_SETTINGS[strategy]
     unknown = sorted(set(given) - set(defaults))
@@ -176,12 +197,17 @@ def merge_optimizer_settings(strategy: str, given: dict) -> dict:
                           f"{unknown}; expected some of {sorted(defaults)}")
     merged = {}
     for key, default in defaults.items():
+        value = given.get(key, default)
+        context = f"optimizers.{strategy}.{key}"
+        if isinstance(default, int):
+            merged[key] = _integer(value, context)
+            continue
         try:
-            merged[key] = type(default)(given.get(key, default))
+            merged[key] = type(default)(value)
         except (TypeError, ValueError):
-            raise ConfigError(f"optimizers.{strategy}.{key}: expected "
+            raise ConfigError(f"{context}: expected "
                               f"{type(default).__name__}, got "
-                              f"{given[key]!r}") from None
+                              f"{value!r}") from None
     return merged
 
 

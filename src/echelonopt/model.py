@@ -268,11 +268,12 @@ def repair_policy_array(raw: np.ndarray, lower: np.ndarray,
                         upper: np.ndarray) -> np.ndarray:
     """Turn an optimizer proposal into a simulable integer policy vector.
 
-    Layout is [R_1..R_F, B_1..B_F].  Each value is clamped to its box
-    bound and rounded to the nearest integer, then every base stock is
-    lifted to its reorder point so B >= R holds.  Idempotent.  The box is
-    expected to use integer bounds with B's upper bound >= R's (the
-    config loader enforces this), so the lift cannot leave the box.
+    Layout is [R_1..R_F, B_1..B_F]; a 2-D array is repaired row by row.
+    Each value is clamped to its box bound and rounded to the nearest
+    integer, then every base stock is lifted to its reorder point so
+    B >= R holds.  Idempotent.  The box is expected to use integer bounds
+    with B's upper bound >= R's (the config loader enforces this), so the
+    lift cannot leave the box.
     """
     raw = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(raw)):
@@ -280,8 +281,8 @@ def repair_policy_array(raw: np.ndarray, lower: np.ndarray,
     x = np.clip(raw, lower, upper)
     x = np.rint(x)
     x = np.clip(x, lower, upper)
-    n = len(x) // 2
-    x[n:] = np.maximum(x[n:], x[:n])
+    n = x.shape[-1] // 2
+    x[..., n:] = np.maximum(x[..., n:], x[..., :n])
     return x
 
 

@@ -1,12 +1,16 @@
 """Shared machinery for the derivative-free strategies.
 
-All three strategies minimize a scalar objective over a box.  Proposals
-always lie inside the box; an optional ``repair`` hook (integer rounding
-and B >= R enforcement for inventory policies) is applied to each
-proposal right before evaluation, and reported points are the repaired
-ones.  A single evaluation tracker enforces the evaluation and wall-time
-budgets, maintains the nonincreasing best-so-far trace, and streams one
-log record per evaluation to an optional sink.
+All three strategies minimize a scalar objective over a box.  ``minimize``
+owns a run: it builds the one evaluation tracker, hands it to the chosen
+strategy's search loop, and when the budget runs out it unwinds the
+search and reports the best point found.  A search loop only proposes
+points inside the box and scores them by calling the tracker.  The
+tracker applies the optional ``repair`` hook (integer rounding and
+B >= R enforcement for inventory policies) to each proposal right before
+evaluation, so reported points are the repaired ones; it also enforces
+the evaluation and wall-time budgets, maintains the nonincreasing
+best-so-far trace, and streams one log record per evaluation to an
+optional sink.
 """
 
 from __future__ import annotations
@@ -131,7 +135,7 @@ class EvaluationTracker:
                 or self.elapsed() >= self.budget.max_wall_time_s)
 
     def preview(self, x: np.ndarray) -> np.ndarray:
-        """The point that would actually be evaluated (after repair)."""
+        """The point, or rows of points, that evaluation would score."""
         x = np.asarray(x, dtype=float)
         if self.repair is None:
             return x
@@ -179,16 +183,24 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
              seed: int = 0, x0: np.ndarray | None = None,
              repair: Callable[[np.ndarray], np.ndarray] | None = None,
              log: LogSink | None = None, **strategy_kwargs) -> OptimizerRun:
-    """Front door: dispatch to one of the three strategies by name."""
-    from .gp import gp_optimize
-    from .nelder_mead import nelder_mead_restart
-    from .rbf import rbf_optimize
+    """Run one strategy, chosen by name, until its search or budget ends.
 
-    optimizers = {"nelder-mead": nelder_mead_restart, "gp": gp_optimize,
-                  "rbf": rbf_optimize}
-    if strategy not in optimizers:
+    ``repair`` must map each row of a 2-D array of proposals as it maps
+    a single proposal; ``strategy_kwargs`` go to the strategy's search.
+    """
+    # read at call time: the benchmark's tracer replaces these attributes
+    from . import gp, nelder_mead, rbf
+
+    searches = {"nelder-mead": nelder_mead.nelder_mead_restart,
+                "gp": gp.gp_optimize, "rbf": rbf.rbf_optimize}
+    if strategy not in searches:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          "expected nelder-mead, gp, or rbf")
-    return optimizers[strategy](objective, space, budget or Budget(),
-                                seed=seed, x0=x0, repair=repair, log=log,
-                                **strategy_kwargs)
+    tracker = EvaluationTracker(objective, budget or Budget(), repair=repair,
+                                log=log)
+    try:
+        searches[strategy](tracker, space, seed=seed, x0=x0,
+                           **strategy_kwargs)
+    except _StopSearch:
+        pass
+    return tracker.finish(strategy)

@@ -16,19 +16,11 @@ numerical conditioning and escalates on Cholesky failure.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.optimize import minimize as scipy_minimize
 
-from .core import (
-    Budget,
-    EvaluationTracker,
-    OptimizerRun,
-    SearchSpace,
-    _StopSearch,
-)
+from .core import EvaluationTracker, SearchSpace
 
 
 class SingularKernelError(RuntimeError):
@@ -37,6 +29,7 @@ class SingularKernelError(RuntimeError):
 
 BASE_JITTER = 1e-10
 MAX_JITTER = 1e-4
+ACQUISITION_SCAN = 256  # random candidates scored before the L-BFGS polish
 
 
 class GaussianProcess:
@@ -48,8 +41,7 @@ class GaussianProcess:
         self.theta_: np.ndarray | None = None
         self.jitter_: float = BASE_JITTER
 
-    def fit(self, x: np.ndarray, y: np.ndarray,
-            warm_start: bool = True) -> "GaussianProcess":
+    def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
         self.x_train = x
@@ -69,7 +61,7 @@ class GaussianProcess:
 
         starts = [np.concatenate([np.log(0.3 * span), [0.0]]),
                   np.concatenate([np.log(1.0 * span), [0.0]])]
-        if warm_start and self.theta_ is not None:
+        if self.theta_ is not None:  # warm start from the previous fit
             starts = [self.theta_, starts[0]]
 
         best_theta, best_nll = starts[0], np.inf
@@ -175,11 +167,10 @@ class GaussianProcess:
 
 
 def _minimize_lcb(gp: GaussianProcess, space: SearchSpace, kappa: float,
-                  rng: np.random.Generator, n_scan: int,
-                  best_so_far: np.ndarray | None,
+                  rng: np.random.Generator, best_so_far: np.ndarray | None,
                   n_polish: int = 2) -> np.ndarray:
     """Coarse vectorized scan, then polish the leaders with L-BFGS-B."""
-    candidates = space.sample(rng, n_scan)
+    candidates = space.sample(rng, ACQUISITION_SCAN)
     if best_so_far is not None:
         candidates = np.vstack([candidates,
                                 np.asarray(best_so_far, dtype=float)])
@@ -198,43 +189,36 @@ def _minimize_lcb(gp: GaussianProcess, space: SearchSpace, kappa: float,
     return space.clip(best_x)
 
 
-def gp_optimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
-                budget: Budget, kappa: float = 50.0,
-                n_random_starts: int = 10, seed: int = 0,
-                x0: np.ndarray | None = None, repair=None, log=None,
-                acquisition_scan: int = 256) -> OptimizerRun:
+def gp_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
+                seed: int, x0: np.ndarray | None, kappa: float = 50.0,
+                n_random_starts: int = 10) -> None:
     """Cycle-restarted GP search; kappa >= 0 sets the exploration appetite."""
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    tracker = EvaluationTracker(objective, budget, repair=repair, log=log)
+    budget = tracker.budget
     min_gap = 1e-9 * float(np.max(space.span))
 
-    try:
-        for cycle in range(budget.cycles):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(cycle,)))
-            design = list(space.latin_hypercube(rng, n_random_starts))
-            if cycle == 0 and x0 is not None:
-                design.insert(0, space.clip(np.asarray(x0, dtype=float)))
-            xs, ys = [], []
-            for point in design:
-                ys.append(tracker(point))
-                xs.append(tracker.points[-1])  # as evaluated (post-repair)
+    for cycle in range(budget.cycles):
+        rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(cycle,)))
+        design = list(space.latin_hypercube(rng, n_random_starts))
+        if cycle == 0 and x0 is not None:
+            design.insert(0, space.clip(np.asarray(x0, dtype=float)))
+        xs, ys = [], []  # this cycle's points, as evaluated (post-repair)
+        for point in design:
+            ys.append(tracker(point))
+            xs.append(tracker.points[-1])
 
-            gp = GaussianProcess(space)
-            for _ in range(budget.iterations_per_cycle):
-                gp.fit(np.array(xs), np.array(ys))
-                incumbent = xs[int(np.argmin(ys))]
-                candidate = _minimize_lcb(gp, space, kappa, rng,
-                                          acquisition_scan, incumbent)
-                gaps = np.max(np.abs(np.array(xs)
-                                     - tracker.preview(candidate)), axis=1)
-                if gaps.min() < min_gap:  # duplicate would break the fit
-                    candidate = space.clip(
-                        candidate + rng.uniform(-1e-2, 1e-2, space.dim)
-                        * space.span)
-                ys.append(tracker(candidate))
-                xs.append(tracker.points[-1])
-    except _StopSearch:
-        pass
-    return tracker.finish("gp")
+        gp = GaussianProcess(space)
+        for _ in range(budget.iterations_per_cycle):
+            gp.fit(np.array(xs), np.array(ys))
+            incumbent = xs[int(np.argmin(ys))]
+            candidate = _minimize_lcb(gp, space, kappa, rng, incumbent)
+            gaps = np.max(np.abs(np.array(xs)
+                                 - tracker.preview(candidate)), axis=1)
+            if gaps.min() < min_gap:  # duplicate would break the fit
+                candidate = space.clip(
+                    candidate + rng.uniform(-1e-2, 1e-2, space.dim)
+                    * space.span)
+            ys.append(tracker(candidate))
+            xs.append(tracker.points[-1])

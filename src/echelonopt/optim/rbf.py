@@ -30,20 +30,13 @@ nonsingular.
 from __future__ import annotations
 
 import warnings
-from typing import Callable
 
 import numpy as np
 from scipy.linalg import lstsq, solve
 from scipy.optimize import minimize as scipy_minimize
 from scipy.spatial.distance import cdist
 
-from .core import (
-    Budget,
-    EvaluationTracker,
-    OptimizerRun,
-    SearchSpace,
-    _StopSearch,
-)
+from .core import EvaluationTracker, SearchSpace
 
 
 class SingularInterpolationError(RuntimeError):
@@ -170,7 +163,7 @@ def _exploit(xs: np.ndarray, ys: np.ndarray, space: SearchSpace,
         scale = scale * mask  # move only the active slice
     local = incumbent + rng.normal(0.0, 1.0, (n_candidates, dim)) * scale
     cloud = np.vstack([space.clip(local), incumbent[None, :]])
-    cloud = np.array([preview(c) for c in cloud])
+    cloud = preview(cloud)
     scores = surrogate.predict(cloud)
     order = np.argsort(scores)
 
@@ -200,21 +193,18 @@ def _explore(evaluated_unit: np.ndarray, space: SearchSpace,
     return space.lower + best * space.span
 
 
-def rbf_optimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
-                 budget: Budget, seed: int = 0,
-                 x0: np.ndarray | None = None, repair=None,
-                 log=None) -> OptimizerRun:
+def rbf_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
+                 seed: int, x0: np.ndarray | None) -> None:
     """Alternate exploit/explore moves until the budget runs out."""
     rng = np.random.default_rng(seed)
-    tracker = EvaluationTracker(objective, budget, repair=repair, log=log)
     dim = space.dim
 
     def unit(points) -> np.ndarray:
         return (np.array(points) - space.lower) / space.span
 
-    def dedupe(candidate: np.ndarray, xs: list) -> np.ndarray:
+    def dedupe(candidate: np.ndarray) -> np.ndarray:
         """Nudge a proposal off already-evaluated points."""
-        u_train = unit(xs)
+        u_train = unit(tracker.points)
         for attempt in range(16):
             gap = np.max(np.abs(u_train - unit([tracker.preview(candidate)])),
                          axis=1).min()
@@ -225,48 +215,40 @@ def rbf_optimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
                 candidate + rng.uniform(-width, width, dim) * space.span)
         return _explore(u_train, space, rng)
 
-    try:
-        design = list(space.latin_hypercube(rng, 2 * (dim + 1)))
-        if x0 is not None:
-            design.insert(0, space.clip(np.asarray(x0, dtype=float)))
-        xs, ys = [], []
-        for point in design:
-            if xs:
-                point = dedupe(point, xs)
-            ys.append(tracker(point))
-            xs.append(tracker.points[-1])
+    design = list(space.latin_hypercube(rng, 2 * (dim + 1)))
+    if x0 is not None:
+        design.insert(0, space.clip(np.asarray(x0, dtype=float)))
+    for point in design:
+        tracker(dedupe(point) if tracker.points else point)
 
-        move = 0
-        while True:
-            candidate = None
-            if move % 2 == 0:
-                exploit_idx = move // 2
-                incumbent = xs[int(np.argmin(ys))]
-                # cloud scale cycles coarse-to-fine and anneals with the
-                # remaining budget, so late exploits polish the incumbent
-                remaining = 1.0 - tracker.evaluations / budget.max_evaluations
-                sigma = ((0.4, 0.2, 0.1, 0.05)[exploit_idx % 4]
-                         * max(0.15, remaining))
-                # exploit slices cycle: one full-dimensional move, then
-                # each coordinate alone (repair re-couples partners).
-                # Full candidates bundle gains in steep coordinates with
-                # regressions in shallow ones, leaving the shallow
-                # coordinates on a random walk; the single-coordinate
-                # moves are what pull those down.
-                slice_idx = exploit_idx % (dim + 1)
-                active = None if slice_idx == 0 else [slice_idx - 1]
-                try:
-                    candidate = _exploit(np.array(xs), np.array(ys), space,
-                                         rng, incumbent, sigma,
-                                         tracker.preview, active=active)
-                except SingularInterpolationError:
-                    candidate = None  # explore instead; separation recovers
-            if candidate is None:
-                candidate = _explore(unit(xs), space, rng)
-            candidate = dedupe(candidate, xs)
-            ys.append(tracker(candidate))
-            xs.append(tracker.points[-1])
-            move += 1
-    except _StopSearch:
-        pass
-    return tracker.finish("rbf")
+    move = 0
+    while True:
+        candidate = None
+        if move % 2 == 0:
+            exploit_idx = move // 2
+            incumbent = tracker.points[int(np.argmin(tracker.values))]
+            # cloud scale cycles coarse-to-fine and anneals with the
+            # remaining budget, so late exploits polish the incumbent
+            remaining = (1.0 - tracker.evaluations
+                         / tracker.budget.max_evaluations)
+            sigma = ((0.4, 0.2, 0.1, 0.05)[exploit_idx % 4]
+                     * max(0.15, remaining))
+            # exploit slices cycle: one full-dimensional move, then
+            # each coordinate alone (repair re-couples partners).
+            # Full candidates bundle gains in steep coordinates with
+            # regressions in shallow ones, leaving the shallow
+            # coordinates on a random walk; the single-coordinate
+            # moves are what pull those down.
+            slice_idx = exploit_idx % (dim + 1)
+            active = None if slice_idx == 0 else [slice_idx - 1]
+            try:
+                candidate = _exploit(np.array(tracker.points),
+                                     np.array(tracker.values), space, rng,
+                                     incumbent, sigma, tracker.preview,
+                                     active=active)
+            except SingularInterpolationError:
+                candidate = None  # explore instead; separation recovers
+        if candidate is None:
+            candidate = _explore(unit(tracker.points), space, rng)
+        tracker(dedupe(candidate))
+        move += 1

@@ -33,9 +33,7 @@ from echelonopt.optim import (
     CubicRbfSurrogate,
     GaussianProcess,
     SearchSpace,
-    gp_optimize,
-    nelder_mead_restart,
-    rbf_optimize,
+    minimize,
 )
 from echelonopt.sampling import generate_synthetic_history
 
@@ -300,18 +298,18 @@ def test_criterion_6_optimizer_sanity():
 
     space = SearchSpace(np.zeros(4), np.full(4, 10.0))
     runs = {
-        "nelder-mead": nelder_mead_restart(
+        "nelder-mead": minimize(
             quadratic, space,
             Budget(max_evaluations=300, cycles=6, iterations_per_cycle=50),
-            seed=7),
+            strategy="nelder-mead", seed=7),
         # kappa is an input; a small value suits a deterministic smooth
         # objective (the inventory default of 50 is exploration-heavy)
-        "gp": gp_optimize(
+        "gp": minimize(
             quadratic, space,
             Budget(max_evaluations=300, cycles=4, iterations_per_cycle=70),
-            kappa=2.0, n_random_starts=8, seed=7),
-        "rbf": rbf_optimize(quadratic, space,
-                            Budget(max_evaluations=300), seed=7),
+            strategy="gp", kappa=2.0, n_random_starts=8, seed=7),
+        "rbf": minimize(quadratic, space, Budget(max_evaluations=300),
+                        strategy="rbf", seed=7),
     }
     for name, run in runs.items():
         assert run.evaluations_used <= 300

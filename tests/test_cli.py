@@ -295,6 +295,57 @@ class TestConfigValidation:
         cfg = load_config(self.write(tmp_path, raw))
         assert cfg.optimizers == {"rbf": {"seed": 3}}
 
+    @pytest.mark.parametrize("value", [10.7, "12", True])
+    def test_int_setting_takes_only_integers(self, tmp_path, value):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        raw["optimizers"]["rbf"]["max_evaluations"] = value
+        with pytest.raises(ConfigError, match="rbf.max_evaluations"):
+            load_config(self.write(tmp_path, raw))
+
+    @pytest.mark.parametrize("value", [10, 10.0])
+    def test_integral_int_setting_loads(self, value):
+        from echelonopt.config import merge_optimizer_settings
+        merged = merge_optimizer_settings("rbf", {"max_evaluations": value})
+        assert merged["max_evaluations"] == 10
+        assert type(merged["max_evaluations"]) is int
+
+    def test_unknown_scenario_key_rejected(self, tmp_path):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        raw["scenario"]["horizn"] = 30
+        with pytest.raises(ConfigError, match="horizn"):
+            load_config(self.write(tmp_path, raw))
+
+    @pytest.mark.parametrize("key", ["horizon", "replications", "base_seed"])
+    @pytest.mark.parametrize("value", [30.7, "30"])
+    def test_scenario_integer_takes_only_integers(self, tmp_path, key,
+                                                  value):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        raw["scenario"][key] = value
+        with pytest.raises(ConfigError, match=f"scenario.{key}"):
+            load_config(self.write(tmp_path, raw))
+
+    def test_integral_scenario_float_loads(self, tmp_path):
+        from echelonopt.config import load_config
+        raw = self.base()
+        raw["scenario"]["horizon"] = 30.0
+        assert load_config(self.write(tmp_path, raw)).scenario.horizon == 30
+
+    def test_policy_facility_outside_network_rejected(self, tmp_path):
+        from echelonopt.config import ConfigError, load_config, \
+            load_policy_file
+        raw = self.base()
+        raw["initial_policy"]["6"] = {"reorder_point": 1, "base_stock": 2}
+        with pytest.raises(ConfigError, match=r"initial_policy.*\['6'\]"):
+            load_config(self.write(tmp_path, raw))
+        network = load_config(PRESET).network
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(raw["initial_policy"]))
+        with pytest.raises(ConfigError, match=r"policy.*\['6'\]"):
+            load_policy_file(policy, network)
+
     def test_invalid_network_rejected(self, tmp_path):
         from echelonopt.config import ConfigError, load_config
         raw = self.base()

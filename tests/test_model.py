@@ -159,3 +159,13 @@ class TestRepairPolicy:
         n = len(once) // 2
         assert np.all(once[n:] >= once[:n])
         assert np.array_equal(once, np.rint(once))
+
+    @given(st.lists(st.lists(st.floats(-500, 1500), min_size=4, max_size=4),
+                    min_size=1, max_size=8))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_repaired_as_single_proposals(self, rows):
+        lo = np.array([0.0, 10.0, 0.0, 25.0])
+        hi = np.array([400.0, 600.0, 500.0, 800.0])
+        raw = np.array(rows)
+        stacked = np.array([repair_policy_array(row, lo, hi) for row in raw])
+        assert np.array_equal(repair_policy_array(raw, lo, hi), stacked)

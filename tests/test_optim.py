@@ -9,10 +9,7 @@ from echelonopt.optim import (
     GaussianProcess,
     SearchSpace,
     SingularInterpolationError,
-    gp_optimize,
     minimize,
-    nelder_mead_restart,
-    rbf_optimize,
 )
 
 
@@ -130,7 +127,7 @@ class TestNelderMead:
         space = SearchSpace(np.array([0.0]), np.array([10.0]))
         budget = Budget(max_evaluations=400, cycles=10,
                         iterations_per_cycle=40)
-        run = nelder_mead_restart(vee, space, budget, seed=1)
+        run = minimize(vee, space, budget, strategy="nelder-mead", seed=1)
         assert abs(run.best_point[0] - 5.0) < 1e-3
 
     def test_collapse_triggers_early_restart(self):
@@ -139,14 +136,15 @@ class TestNelderMead:
         # exactly cycles * (dim + 1) evaluations.
         budget = Budget(max_evaluations=1000, cycles=4,
                         iterations_per_cycle=50)
-        run = nelder_mead_restart(quadratic, SPACE_2D, budget, seed=3,
-                                  collapse_tol=10.0)
+        run = minimize(quadratic, SPACE_2D, budget, strategy="nelder-mead",
+                       seed=3, collapse_tol=10.0)
         assert run.evaluations_used == 4 * 3
 
     def test_starts_from_supplied_initial_guess(self):
         budget = Budget(max_evaluations=3, cycles=1, iterations_per_cycle=1)
         x0 = np.array([1.25, 8.5])
-        run = nelder_mead_restart(quadratic, SPACE_2D, budget, seed=0, x0=x0)
+        run = minimize(quadratic, SPACE_2D, budget, strategy="nelder-mead",
+                       seed=0, x0=x0)
         assert np.array_equal(run.evaluated_points[0], x0)
 
 
@@ -175,8 +173,8 @@ class TestGaussianProcess:
     def test_optimize_quadratic_loosely(self):
         budget = Budget(max_evaluations=120, cycles=2,
                         iterations_per_cycle=50)
-        run = gp_optimize(quadratic, SPACE_2D, budget, kappa=2.0,
-                          n_random_starts=8, seed=3)
+        run = minimize(quadratic, SPACE_2D, budget, strategy="gp",
+                       kappa=2.0, n_random_starts=8, seed=3)
         assert run.best_value < 1e-2
 
 
@@ -221,6 +219,6 @@ class TestCubicRbf:
             CubicRbfSurrogate(space).fit(x, np.array([1.0, 2.0, 3.0]))
 
     def test_optimize_quadratic_loosely(self):
-        run = rbf_optimize(quadratic, SPACE_2D,
-                           Budget(max_evaluations=80), seed=6)
+        run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=80),
+                       strategy="rbf", seed=6)
         assert run.best_value < 1e-3
