@@ -37,14 +37,15 @@ result = run_strategy("rbf", cfg.network, history, scenario, cfg.space,
 print(f"\ninitial Z = {result.initial_z:.1f}")
 print(f"best Z    = {result.run.best_value:.1f}  "
       f"({result.reduction_pct:.0f}% reduction, "
-      f"feasible = {result.feasible})")
+      f"feasible = {result.report.feasible})")
+best = result.report.policy
 print(f"\n{'facility':>9} {'R start':>8} {'R best':>7} "
       f"{'B start':>8} {'B best':>7}")
 for fid in cfg.network.ids:
     print(f"{fid:>9} {cfg.initial_policy.reorder_point[fid]:>8} "
-          f"{result.policy.reorder_point[fid]:>7} "
+          f"{best.reorder_point[fid]:>7} "
           f"{cfg.initial_policy.base_stock[fid]:>8} "
-          f"{result.policy.base_stock[fid]:>7}")
+          f"{best.base_stock[fid]:>7}")
 
 print("\nTypical outcome: base stocks collapse toward the reorder points"
       "\n(with no ordering cost, frequent small orders are free), and the"

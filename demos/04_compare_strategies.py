@@ -19,7 +19,6 @@ from echelonopt.harness import (
     format_table,
     run_strategy,
 )
-from echelonopt.objective import evaluate
 from echelonopt.sampling import generate_synthetic_history
 
 cfg = load_config(Path(__file__).resolve().parent.parent / "configs"
@@ -28,19 +27,18 @@ history = generate_synthetic_history(cfg.network, cfg.generator,
                                      seed=cfg.scenario.base_seed)
 scenario = replace(cfg.scenario, replications=5)
 
-initial_z = evaluate(cfg.initial_policy, cfg.network, history, scenario).z
-print(f"starting policy Z = {initial_z:.1f}\n")
-
 results = []
 for strategy in ("nelder-mead", "gp", "rbf"):
     print(f"running {strategy} (300 evaluations)...")
     results.append(run_strategy(
         strategy, cfg.network, history, scenario, cfg.space,
-        cfg.initial_policy, settings={"max_evaluations": 300},
-        seed=derive_strategy_seed(cfg.scenario.base_seed, strategy),
-        initial_z=initial_z))
+        cfg.initial_policy,
+        settings={"max_evaluations": 300,
+                  "seed": derive_strategy_seed(cfg.scenario.base_seed,
+                                               strategy)}))
 
-print()
+# every strategy scores the starting policy first
+print(f"\nstarting policy Z = {results[0].initial_z:.1f}\n")
 print(format_table(comparison_table(results, cfg.network)))
 print("\nThe surrogate strategies usually land far below the simplex"
       "\nsearch at this budget; rerun with different seeds or budgets by"

@@ -13,7 +13,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -161,42 +161,29 @@ def cmd_evaluate(args) -> int:
           f"N = {report.replications})")
     print(f"{'facility':>10} {'mean_beta':>10} {'std_beta':>9} "
           f"{'target':>7} {'status':>7} {'mean_on_hand':>13}")
-    all_met = True
     for fid in cfg.network.ids:
         met = report.mean_beta[fid] >= targets[fid]
-        all_met = all_met and met
         print(f"{fid:>10} {report.mean_beta[fid]:>10.4f} "
               f"{report.std_beta[fid]:>9.4f} {targets[fid]:>7.2f} "
               f"{'PASS' if met else 'FAIL':>7} "
               f"{report.mean_on_hand[fid]:>13.2f}")
 
-    payload = {
-        "z": report.z,
-        "mean_total_on_hand": report.mean_total_on_hand,
-        "mean_violation": report.mean_violation,
-        "replications": report.replications,
-        "mean_beta": report.mean_beta,
-        "std_beta": report.std_beta,
-        "mean_on_hand": report.mean_on_hand,
-        "targets": targets,
-        "policy": _policy_payload(policy, cfg.network),
-        "feasible": all_met,
-    }
+    payload = {**asdict(report), "targets": targets,
+               "policy": _policy_payload(policy, cfg.network)}
     if args.out:
         _write_json(_make_out_dir(args) / "evaluation.json", payload)
     else:
         print(json.dumps(payload, sort_keys=True))
-    return 0 if all_met else 2
+    return 0 if report.feasible else 2
 
 
 def _settings_overrides(args) -> dict:
     return _given(args, {"max_evaluations": "max_evals",
-                         "max_minutes": "max_minutes"})
+                         "max_minutes": "max_minutes", "seed": "seed"})
 
 
 def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
-                      out_dir: Path, seed: int | None, overrides: dict,
-                      stem: str, initial_z: float | None = None):
+                      out_dir: Path, overrides: dict, stem: str):
     """Run one strategy; write its evaluation log, best policy and summary."""
     choice = scenario.demand_choice.value
     paths = {"log": out_dir / f"evaluations_{strategy}_{choice}.csv",
@@ -213,10 +200,10 @@ def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
 
         result = run_strategy(strategy, cfg.network, history, scenario,
                               cfg.space, cfg.initial_policy,
-                              settings=settings, seed=seed,
-                              initial_z=initial_z, log=log)
+                              settings=settings, log=log)
 
-    _write_json(paths["policy"], _policy_payload(result.policy, cfg.network))
+    _write_json(paths["policy"], _policy_payload(result.report.policy,
+                                                 cfg.network))
     _write_json(paths["summary"], {
         "strategy": strategy,
         "choice": choice,
@@ -226,7 +213,7 @@ def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
         "evaluations": result.run.evaluations_used,
         "wall_time_minutes": result.run.wall_time_s / 60.0,
         "cpu_time_minutes": result.run.cpu_time_s / 60.0,
-        "feasible": result.feasible,
+        "feasible": result.report.feasible,
         "mean_beta": result.report.mean_beta,
         "settings": result.settings,
     })
@@ -240,7 +227,7 @@ def cmd_optimize(args) -> int:
     out_dir = _make_out_dir(args)
 
     result, paths = _run_one_strategy(
-        cfg, history, scenario, args.strategy, out_dir, seed=args.seed,
+        cfg, history, scenario, args.strategy, out_dir,
         overrides=_settings_overrides(args), stem=args.strategy)
     print(f"strategy {args.strategy}: best Z {result.run.best_value:.2f} "
           f"({result.reduction_pct:.1f}% reduction from the initial guess), "
@@ -263,15 +250,13 @@ def cmd_compare(args) -> int:
 
     for choice in choices:
         scenario = _scenario_with_overrides(cfg, args, choice)
-        initial_z = evaluate(cfg.initial_policy, cfg.network, history,
-                             scenario).z
         results = []
         for strategy in strategies:
             seed = derive_strategy_seed(scenario.base_seed, strategy)
             result, _ = _run_one_strategy(
-                cfg, history, scenario, strategy, out_dir, seed=seed,
-                overrides=overrides, stem=f"{strategy}_{choice}",
-                initial_z=initial_z)
+                cfg, history, scenario, strategy, out_dir,
+                overrides={**overrides, "seed": seed},
+                stem=f"{strategy}_{choice}")
             results.append(result)
 
         rows = comparison_table(results, cfg.network)
@@ -281,7 +266,7 @@ def cmd_compare(args) -> int:
         text = format_table(rows)
         (out_dir / f"comparison_{choice}.txt").write_text(text + "\n")
         print(f"\n=== demand choice: {choice} "
-              f"(initial Z {initial_z:.2f}) ===")
+              f"(initial Z {results[0].initial_z:.2f}) ===")
         print(text)
         print(f"table written to {csv_path}")
     return 0

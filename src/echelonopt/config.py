@@ -79,12 +79,19 @@ def _integer(value, context: str) -> int:
 def _load_network(raw: dict) -> NetworkSpec:
     facilities = []
     for entry in _require(raw, "facilities", "network"):
+        fid = str(_require(entry, "id", "facility"))
+        serves = entry.get("serves_customers", False)
+        if not isinstance(serves, bool):
+            raise ConfigError(f"facility {fid}.serves_customers: expected "
+                              f"true or false, got {serves!r}")
         facilities.append(FacilitySpec(
-            id=str(_require(entry, "id", "facility")),
+            id=fid,
             upstream=str(_require(entry, "upstream", "facility")),
-            base_lead_time=int(_require(entry, "base_lead_time", "facility")),
+            base_lead_time=_integer(
+                _require(entry, "base_lead_time", "facility"),
+                f"facility {fid}.base_lead_time"),
             target_beta=float(entry.get("target_beta", 0.0)),
-            serves_customers=bool(entry.get("serves_customers", False)),
+            serves_customers=serves,
         ))
     network = NetworkSpec(facilities)
     violations = validate_network(network)
@@ -126,8 +133,11 @@ def _load_policy(raw: dict, network: NetworkSpec,
     rop, base = {}, {}
     for fid in network.ids:
         entry = _require(raw, fid, context)
-        rop[fid] = int(_require(entry, "reorder_point", f"{context}[{fid}]"))
-        base[fid] = int(_require(entry, "base_stock", f"{context}[{fid}]"))
+        where = f"{context}[{fid}]"
+        rop[fid] = _integer(_require(entry, "reorder_point", where),
+                            f"{where}.reorder_point")
+        base[fid] = _integer(_require(entry, "base_stock", where),
+                             f"{where}.base_stock")
     try:
         return PolicyVector(rop, base)
     except ValueError as exc:
@@ -135,29 +145,25 @@ def _load_policy(raw: dict, network: NetworkSpec,
 
 
 def _load_space(raw: dict, network: NetworkSpec) -> SearchSpace:
-    rop_lo, rop_hi, base_lo, base_hi = [], [], [], []
-    for fid in network.ids:
-        entry = _require(raw, fid, "bounds")
-        r = _require(entry, "reorder_point", f"bounds[{fid}]")
-        b = _require(entry, "base_stock", f"bounds[{fid}]")
-        for pair, name in ((r, "reorder_point"), (b, "base_stock")):
-            if len(pair) != 2 or pair[0] >= pair[1]:
-                raise ConfigError(f"bounds[{fid}].{name}: need [lo, hi] "
-                                  "with lo < hi")
-            if any(v != int(v) for v in pair) or pair[0] < 0:
-                raise ConfigError(f"bounds[{fid}].{name}: bounds must be "
-                                  "nonnegative integers")
-        if b[1] < r[1]:
+    def pair(fid, name):
+        context = f"bounds[{fid}].{name}"
+        value = _require(_require(raw, fid, "bounds"), name, f"bounds[{fid}]")
+        if isinstance(value, list) and len(value) == 2:
+            lo, hi = (_integer(v, context) for v in value)
+            if 0 <= lo < hi:
+                return lo, hi
+        raise ConfigError(f"{context}: need [lo, hi], integers with "
+                          "0 <= lo < hi")
+
+    rop = [pair(fid, "reorder_point") for fid in network.ids]
+    base = [pair(fid, "base_stock") for fid in network.ids]
+    for fid, (_, r_hi), (_, b_hi) in zip(network.ids, rop, base):
+        if b_hi < r_hi:
             raise ConfigError(
-                f"bounds[{fid}]: base_stock upper bound {b[1]} below "
-                f"reorder_point upper bound {r[1]}; the B >= R repair "
+                f"bounds[{fid}]: base_stock upper bound {b_hi} below "
+                f"reorder_point upper bound {r_hi}; the B >= R repair "
                 "could leave the box")
-        rop_lo.append(r[0])
-        rop_hi.append(r[1])
-        base_lo.append(b[0])
-        base_hi.append(b[1])
-    return SearchSpace(np.array(rop_lo + base_lo, dtype=float),
-                       np.array(rop_hi + base_hi, dtype=float))
+    return SearchSpace(*np.array(rop + base, dtype=float).T)
 
 
 def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
@@ -176,7 +182,7 @@ def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
     lead = {fid: series(_require(lead_raw, fid, "generator.lead_delta"),
                         f"generator.lead_delta[{fid}]")
             for fid in network.ids}
-    length = int(raw.get("length", 360))
+    length = _integer(raw.get("length", 360), "generator.length")
     try:
         return HistoryGenParams(demand=demand, lead_delta=lead, length=length)
     except ValueError as exc:

@@ -50,15 +50,16 @@ def make_policy_objective(network: NetworkSpec, history: HistoryDataset,
 
 @dataclass
 class StrategyResult:
-    """One strategy's run plus the diagnostics the comparison table needs."""
+    """One strategy's run, the report on its best policy, its settings."""
 
-    strategy: str
     run: OptimizerRun
-    policy: PolicyVector
-    report: ObjectiveReport
-    initial_z: float
-    targets: dict
+    report: ObjectiveReport  # the best point re-scored in full
     settings: dict  # the run's defaults merged with what the caller gave
+
+    @property
+    def initial_z(self) -> float:
+        """Z of the run's first point: the initial policy, repaired."""
+        return float(self.run.evaluated_values[0])
 
     @property
     def reduction_pct(self) -> float:
@@ -66,28 +67,18 @@ class StrategyResult:
             return 0.0
         return 100.0 * (self.initial_z - self.run.best_value) / self.initial_z
 
-    @property
-    def feasible(self) -> bool:
-        return all(self.report.mean_beta[fid] >= self.targets.get(fid, 0.0)
-                   for fid in self.report.mean_beta)
-
 
 def run_strategy(strategy: str, network: NetworkSpec,
                  history: HistoryDataset, scenario: ScenarioConfig,
                  space: SearchSpace, initial_policy: PolicyVector,
-                 settings: dict | None = None, seed: int | None = None,
-                 initial_z: float | None = None,
-                 log=None) -> StrategyResult:
+                 settings: dict | None = None, log=None) -> StrategyResult:
     """Run one strategy end to end against the inventory objective.
 
     ``settings`` overrides the strategy's keys in
-    ``DEFAULT_OPTIMIZER_SETTINGS``, and ``seed``, when given, overrides
-    both.
+    ``DEFAULT_OPTIMIZER_SETTINGS``, the seed included.  Every strategy
+    scores the initial policy first.
     """
-    given = dict(settings or {})
-    if seed is not None:
-        given["seed"] = seed
-    merged = merge_optimizer_settings(strategy, given)
+    merged = merge_optimizer_settings(strategy, settings or {})
     budget = Budget(
         max_evaluations=merged["max_evaluations"],
         max_wall_time_s=merged["max_minutes"] * 60.0,
@@ -95,38 +86,33 @@ def run_strategy(strategy: str, network: NetworkSpec,
            if key in merged})
     tuning = {key: value for key, value in merged.items()
               if key not in _RUN_KEYS}
-
-    if initial_z is None:
-        initial_z = evaluate(initial_policy, network, history, scenario).z
-
     run = minimize(make_policy_objective(network, history, scenario), space,
                    budget, strategy=strategy, seed=merged["seed"],
                    x0=initial_policy.to_array(network),
                    repair=lambda x: repair_policy_array(x, space.lower,
                                                         space.upper),
                    log=log, **tuning)
-    policy = PolicyVector.from_array(network, run.best_point)
-    report = evaluate(policy, network, history, scenario)
-    return StrategyResult(strategy=strategy, run=run, policy=policy,
-                          report=report, initial_z=initial_z,
-                          targets=network.targets, settings=merged)
+    report = evaluate(PolicyVector.from_array(network, run.best_point),
+                      network, history, scenario)
+    return StrategyResult(run=run, report=report, settings=merged)
 
 
 def comparison_table(results: list[StrategyResult],
                      network: NetworkSpec) -> list[list[str]]:
     """Rows x columns table in the solver-comparison layout."""
-    header = ["", *(r.strategy for r in results)]
+    header = ["", *(r.run.strategy for r in results)]
     rows = [header]
+    policies = [r.report.policy for r in results]
     rows.append(["Optimal objective",
                  *(f"{r.run.best_value:.0f}" for r in results)])
     rows.append(["% reduction from the initial guess",
                  *(f"{r.reduction_pct:.0f}%" for r in results)])
     for fid in network.ids:
         rows.append([f"Optimal base stock - facility {fid}",
-                     *(str(r.policy.base_stock[fid]) for r in results)])
+                     *(str(p.base_stock[fid]) for p in policies)])
     for fid in network.ids:
         rows.append([f"Optimal ROP - facility {fid}",
-                     *(str(r.policy.reorder_point[fid]) for r in results)])
+                     *(str(p.reorder_point[fid]) for p in policies)])
     rows.append(["Total iterations",
                  *(str(r.run.evaluations_used) for r in results)])
     rows.append(["CPU time (minutes)",

@@ -34,6 +34,7 @@ class ObjectiveReport:
     std_beta: dict[str, float]
     mean_on_hand: dict[str, float]
     policy: PolicyVector
+    feasible: bool  # every facility's mean beta meets its target
 
 
 def aggregate_outcomes(outcomes: Sequence[SimulationOutcome],
@@ -56,17 +57,19 @@ def aggregate_outcomes(outcomes: Sequence[SimulationOutcome],
             total_on_hand += outcome.avg_on_hand[fid]
             total_violation += max(0.0, targets[fid] - outcome.beta[fid])
     betas = {fid: np.array([o.beta[fid] for o in outcomes]) for fid in fids}
+    mean_beta = {fid: float(betas[fid].mean()) for fid in fids}
     return ObjectiveReport(
         z=total_on_hand / n + rho * total_violation / n,
         mean_total_on_hand=total_on_hand / n,
         mean_violation=total_violation / n,
         replications=n,
-        mean_beta={fid: float(betas[fid].mean()) for fid in fids},
+        mean_beta=mean_beta,
         std_beta={fid: float(betas[fid].std()) for fid in fids},
         mean_on_hand={fid: float(np.mean([o.avg_on_hand[fid]
                                           for o in outcomes]))
                       for fid in fids},
         policy=policy,
+        feasible=all(mean_beta[fid] >= targets[fid] for fid in fids),
     )
 
 

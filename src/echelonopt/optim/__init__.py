@@ -4,6 +4,7 @@ from .core import (
     Budget,
     BudgetExhaustedError,
     EvaluationTracker,
+    NonFiniteObjectiveError,
     OptimizerRun,
     SearchSpace,
     minimize,
@@ -18,6 +19,7 @@ __all__ = [
     "CubicRbfSurrogate",
     "EvaluationTracker",
     "GaussianProcess",
+    "NonFiniteObjectiveError",
     "OptimizerRun",
     "SearchSpace",
     "SingularInterpolationError",

@@ -8,9 +8,9 @@ points inside the box and scores them by calling the tracker.  The
 tracker applies the optional ``repair`` hook (integer rounding and
 B >= R enforcement for inventory policies) to each proposal right before
 evaluation, so reported points are the repaired ones; it also enforces
-the evaluation and wall-time budgets, maintains the nonincreasing
-best-so-far trace, and streams one log record per evaluation to an
-optional sink.
+the evaluation and wall-time budgets, rejects a value that is not
+finite, maintains the nonincreasing best-so-far trace, and streams one
+log record per evaluation to an optional sink.
 """
 
 from __future__ import annotations
@@ -24,6 +24,10 @@ import numpy as np
 
 class BudgetExhaustedError(RuntimeError):
     """The budget was spent before a single evaluation could run."""
+
+
+class NonFiniteObjectiveError(ValueError):
+    """The objective returned inf or NaN; no strategy can search on it."""
 
 
 class _StopSearch(Exception):
@@ -151,6 +155,9 @@ class EvaluationTracker:
         if self.repair is not None:
             x = np.asarray(self.repair(x), dtype=float)
         value = float(self.objective(x))
+        if not np.isfinite(value):
+            raise NonFiniteObjectiveError(
+                f"objective returned {value} at {x.tolist()}")
         self.points.append(x.copy())
         self.values.append(value)
         if value < self.best_value:

@@ -30,6 +30,7 @@ class SingularKernelError(RuntimeError):
 BASE_JITTER = 1e-10
 MAX_JITTER = 1e-4
 ACQUISITION_SCAN = 256  # random candidates scored before the L-BFGS polish
+ACQUISITION_POLISH = 2  # best-scoring candidates polished by L-BFGS-B
 
 
 class GaussianProcess:
@@ -167,15 +168,15 @@ class GaussianProcess:
 
 
 def _minimize_lcb(gp: GaussianProcess, space: SearchSpace, kappa: float,
-                  rng: np.random.Generator, best_so_far: np.ndarray | None,
-                  n_polish: int = 2) -> np.ndarray:
+                  rng: np.random.Generator,
+                  best_so_far: np.ndarray | None) -> np.ndarray:
     """Coarse vectorized scan, then polish the leaders with L-BFGS-B."""
     candidates = space.sample(rng, ACQUISITION_SCAN)
     if best_so_far is not None:
         candidates = np.vstack([candidates,
                                 np.asarray(best_so_far, dtype=float)])
     scores = gp.lower_confidence_bound(candidates, kappa)
-    leaders = candidates[np.argsort(scores)[:n_polish]]
+    leaders = candidates[np.argsort(scores)[:ACQUISITION_POLISH]]
 
     bounds = list(zip(space.lower, space.upper))
     best_x = leaders[0]

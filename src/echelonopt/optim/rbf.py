@@ -45,6 +45,9 @@ class SingularInterpolationError(RuntimeError):
 
 RESIDUAL_RTOL = 1e-8
 MIN_SEPARATION = 1e-5  # in unit-box coordinates
+EXPLOIT_CANDIDATES = 600  # Gaussian cloud around the incumbent
+EXPLOIT_POLISH = 3  # best cloud points polished by L-BFGS-B
+EXPLORE_CANDIDATES = 2000  # uniform draws for the max-min-distance move
 
 
 class CubicRbfSurrogate:
@@ -87,10 +90,10 @@ class CubicRbfSurrogate:
             except np.linalg.LinAlgError:
                 coef = None
         if coef is None or not np.all(np.isfinite(coef)) \
-                or self._residual(coef, n, yn) > RESIDUAL_RTOL:
+                or self._residual(coef, phi, yn) > RESIDUAL_RTOL:
             coef = lstsq(a, rhs, lapack_driver="gelsd")[0]
         if not np.all(np.isfinite(coef)) \
-                or self._residual(coef, n, yn) > RESIDUAL_RTOL:
+                or self._residual(coef, phi, yn) > RESIDUAL_RTOL:
             raise SingularInterpolationError(
                 "interpolation residual exceeds tolerance "
                 "(coincident sample points?)")
@@ -98,9 +101,10 @@ class CubicRbfSurrogate:
         self.tail_coef = coef[n:]
         return self
 
-    def _residual(self, coef: np.ndarray, n: int, yn: np.ndarray) -> float:
-        u = self._u_train
-        pred = (cdist(u, u) ** 3) @ coef[:n] + u @ coef[n:-1] + coef[-1]
+    def _residual(self, coef: np.ndarray, phi: np.ndarray,
+                  yn: np.ndarray) -> float:
+        n, u = len(phi), self._u_train
+        pred = phi @ coef[:n] + u @ coef[n:-1] + coef[-1]
         return float(np.abs(pred - yn).max())
 
     def predict(self, x: np.ndarray) -> np.ndarray:
@@ -123,8 +127,7 @@ class CubicRbfSurrogate:
 
 def _exploit(xs: np.ndarray, ys: np.ndarray, space: SearchSpace,
              rng: np.random.Generator, incumbent: np.ndarray,
-             sigma: float, preview, active=None, n_candidates: int = 600,
-             n_polish: int = 3) -> np.ndarray:
+             sigma: float, preview, active=None) -> np.ndarray:
     """Minimize a locally fitted surrogate around the incumbent.
 
     The surrogate is fitted on the points nearest the incumbent (scaled
@@ -161,7 +164,7 @@ def _exploit(xs: np.ndarray, ys: np.ndarray, space: SearchSpace,
         mask = np.zeros(dim)
         mask[active] = 1.0
         scale = scale * mask  # move only the active slice
-    local = incumbent + rng.normal(0.0, 1.0, (n_candidates, dim)) * scale
+    local = incumbent + rng.normal(0.0, 1.0, (EXPLOIT_CANDIDATES, dim)) * scale
     cloud = np.vstack([space.clip(local), incumbent[None, :]])
     cloud = preview(cloud)
     scores = surrogate.predict(cloud)
@@ -174,7 +177,7 @@ def _exploit(xs: np.ndarray, ys: np.ndarray, space: SearchSpace,
     hi = np.minimum(space.upper, incumbent + 5.0 * scale)
     bounds = list(zip(lo, hi))
     best_x, best_val = cloud[order[0]], float(scores[order[0]])
-    for s in cloud[order[:n_polish]]:
+    for s in cloud[order[:EXPLOIT_POLISH]]:
         res = scipy_minimize(f_and_g, np.clip(s, lo, hi), jac=True,
                              method="L-BFGS-B", bounds=bounds,
                              options={"maxiter": 100})
@@ -186,8 +189,8 @@ def _exploit(xs: np.ndarray, ys: np.ndarray, space: SearchSpace,
 
 
 def _explore(evaluated_unit: np.ndarray, space: SearchSpace,
-             rng: np.random.Generator, n_candidates: int = 2000) -> np.ndarray:
-    candidates = rng.uniform(size=(n_candidates, space.dim))
+             rng: np.random.Generator) -> np.ndarray:
+    candidates = rng.uniform(size=(EXPLORE_CANDIDATES, space.dim))
     min_dist = cdist(candidates, evaluated_unit).min(axis=1)
     best = candidates[int(np.argmax(min_dist))]
     return space.lower + best * space.span

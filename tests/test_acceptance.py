@@ -441,9 +441,9 @@ def test_criterion_9_risk_pooling_trend(desk_compare):
                 demand_choice=DemandChoice.BACKORDER, base_seed=shared)
             result = run_strategy(
                 "rbf", cfg.network, hist, sc, cfg.space, cfg.initial_policy,
-                settings={"max_evaluations": DESK_EVALS},
-                seed=derive_strategy_seed(shared, "rbf"))
-            rop = result.policy.reorder_point
+                settings={"max_evaluations": DESK_EVALS,
+                          "seed": derive_strategy_seed(shared, "rbf")})
+            rop = result.report.policy.reorder_point
         hit = pooling(rop)
         hits += hit
         details.append(f"seed {shared}: R3={rop['3']} R4={rop['4']} "

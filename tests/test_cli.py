@@ -346,6 +346,73 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=r"policy.*\['6'\]"):
             load_policy_file(policy, network)
 
+    # every integer field of a config or policy file: (path in the file,
+    # the context its error names)
+    INTEGER_FIELDS = [
+        pytest.param(("initial_policy", "1", "reorder_point"),
+                     r"initial_policy\[1\]\.reorder_point", id="rop"),
+        pytest.param(("initial_policy", "1", "base_stock"),
+                     r"initial_policy\[1\]\.base_stock", id="base"),
+        pytest.param(("network", "facilities", 0, "base_lead_time"),
+                     r"facility 1\.base_lead_time", id="lead"),
+        pytest.param(("generator", "length"), r"generator\.length",
+                     id="length"),
+        pytest.param(("bounds", "1", "reorder_point", 1),
+                     r"bounds\[1\]\.reorder_point", id="rop_hi"),
+        pytest.param(("bounds", "1", "base_stock", 0),
+                     r"bounds\[1\]\.base_stock", id="base_lo"),
+    ]
+
+    @staticmethod
+    def replace_field(raw, path, change):
+        node = raw
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = change(node[path[-1]])
+
+    @staticmethod
+    def loaded_numbers(cfg):
+        return (cfg.initial_policy.to_array(cfg.network).tolist(),
+                [f.base_lead_time for f in cfg.network.facilities],
+                cfg.generator.length,
+                cfg.space.lower.tolist(), cfg.space.upper.tolist())
+
+    @pytest.mark.parametrize("path,context", INTEGER_FIELDS)
+    @pytest.mark.parametrize("change", [lambda v: v + 0.7, str,
+                                        lambda v: None, lambda v: True],
+                             ids=["fraction", "string", "null", "bool"])
+    def test_integer_field_takes_only_integers(self, tmp_path, path,
+                                               context, change):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        self.replace_field(raw, path, change)
+        with pytest.raises(ConfigError, match=context):
+            load_config(self.write(tmp_path, raw))
+
+    @pytest.mark.parametrize("path,context", INTEGER_FIELDS)
+    def test_integral_float_field_loads(self, tmp_path, path, context):
+        from echelonopt.config import load_config
+        raw = self.base()
+        self.replace_field(raw, path, float)
+        cfg = load_config(self.write(tmp_path, raw))
+        assert self.loaded_numbers(cfg) == self.loaded_numbers(
+            load_config(PRESET))
+        assert type(cfg.initial_policy.reorder_point["1"]) is int
+        assert type(cfg.network.facilities[0].base_lead_time) is int
+
+    def test_null_bound_exits_one(self, tmp_path):
+        raw = self.base()
+        raw["bounds"]["1"]["reorder_point"] = [0, None]
+        assert main(["evaluate", "--config", str(self.write(tmp_path, raw)),
+                     "--history-dir", str(tmp_path)]) == 1
+
+    def test_serves_customers_must_be_boolean(self, tmp_path):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        raw["network"]["facilities"][0]["serves_customers"] = "false"
+        with pytest.raises(ConfigError, match="serves_customers"):
+            load_config(self.write(tmp_path, raw))
+
     def test_invalid_network_rejected(self, tmp_path):
         from echelonopt.config import ConfigError, load_config
         raw = self.base()

@@ -11,7 +11,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 @pytest.mark.parametrize("demo", ["01_single_facility_sawtooth.py",
-                                  "02_evaluate_five_facility.py"])
+                                  "02_evaluate_five_facility.py",
+                                  "03_optimize_rbf.py"])
 def test_demo_exits_zero(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from echelonopt import harness
 from echelonopt.config import STRATEGIES
 from echelonopt.harness import (
     comparison_table,
@@ -45,22 +46,39 @@ def tiny_scenario():
 def test_run_strategy_result_shape():
     net, hist, scenario, policy, space = tiny_scenario()
     result = run_strategy("rbf", net, hist, scenario, space, policy,
-                          settings={"max_evaluations": 20}, seed=3)
+                          settings={"max_evaluations": 20, "seed": 3})
     assert result.run.evaluations_used == 20
     assert result.run.best_value <= result.initial_z
     assert result.initial_z == evaluate(policy, net, hist, scenario).z
     assert 0.0 <= result.reduction_pct <= 100.0
     # the reported policy re-evaluates to exactly the best objective (CRN)
-    assert evaluate(result.policy, net, hist, scenario).z \
+    assert evaluate(result.report.policy, net, hist, scenario).z \
         == result.run.best_value
+
+
+def test_run_strategy_evaluates_only_the_run_and_its_best(monkeypatch):
+    net, hist, scenario, policy, space = tiny_scenario()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate", counted)
+    result = run_strategy("gp", net, hist, scenario, space, policy,
+                          settings={"max_evaluations": 12, "seed": 2})
+    # the initial policy is scored once, as the run's first point
+    assert len(calls) == result.run.evaluations_used + 1
+    assert calls[0] == policy
+    assert result.initial_z == result.run.evaluated_values[0]
 
 
 def test_comparison_table_layout_and_alignment():
     net, hist, scenario, policy, space = tiny_scenario()
     results = [
         run_strategy(s, net, hist, scenario, space, policy,
-                     settings={"max_evaluations": 10},
-                     seed=derive_strategy_seed(1, s))
+                     settings={"max_evaluations": 10,
+                               "seed": derive_strategy_seed(1, s)})
         for s in ("nelder-mead", "rbf")
     ]
     rows = comparison_table(results, net)
@@ -75,7 +93,7 @@ def test_comparison_table_layout_and_alignment():
 def test_cpu_time_row_shows_process_time_not_wall_time():
     net, hist, scenario, policy, space = tiny_scenario()
     result = run_strategy("nelder-mead", net, hist, scenario, space, policy,
-                          settings={"max_evaluations": 5}, seed=1)
+                          settings={"max_evaluations": 5, "seed": 1})
     assert result.run.cpu_time_s > 0.0
     result.run = replace(result.run, wall_time_s=600.0, cpu_time_s=90.0)
     rows = comparison_table([result], net)

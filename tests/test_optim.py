@@ -7,6 +7,7 @@ from echelonopt.optim import (
     BudgetExhaustedError,
     CubicRbfSurrogate,
     GaussianProcess,
+    NonFiniteObjectiveError,
     SearchSpace,
     SingularInterpolationError,
     minimize,
@@ -92,6 +93,26 @@ class TestMinimizeContract:
         assert run.evaluations_used == 1
         assert run.best_value == quadratic(run.best_point)
 
+    @pytest.mark.parametrize("strategy,kwargs,budget", STRATEGY_CASES)
+    def test_starts_from_supplied_initial_guess(self, strategy, kwargs,
+                                                budget):
+        three = Budget(max_evaluations=3, cycles=budget.cycles,
+                       iterations_per_cycle=budget.iterations_per_cycle)
+        x0 = np.array([1.25, 8.5])
+        run = minimize(quadratic, SPACE_2D, three, strategy=strategy,
+                       seed=0, x0=x0, **kwargs)
+        assert np.array_equal(run.evaluated_points[0], x0)
+        assert run.evaluated_values[0] == quadratic(x0)
+
+    @pytest.mark.parametrize("strategy,kwargs,budget", STRATEGY_CASES)
+    def test_non_finite_objective_raises_naming_the_point(
+            self, strategy, kwargs, budget):
+        with pytest.raises(NonFiniteObjectiveError,
+                           match=r"inf at \[1\.25, 8\.5\]"):
+            minimize(lambda x: float("inf"), SPACE_2D, budget,
+                     strategy=strategy, seed=0, x0=np.array([1.25, 8.5]),
+                     **kwargs)
+
     def test_degenerate_wall_time_raises(self):
         budget = Budget(max_evaluations=10, max_wall_time_s=1e-12)
         with pytest.raises(BudgetExhaustedError):
@@ -139,13 +160,6 @@ class TestNelderMead:
         run = minimize(quadratic, SPACE_2D, budget, strategy="nelder-mead",
                        seed=3, collapse_tol=10.0)
         assert run.evaluations_used == 4 * 3
-
-    def test_starts_from_supplied_initial_guess(self):
-        budget = Budget(max_evaluations=3, cycles=1, iterations_per_cycle=1)
-        x0 = np.array([1.25, 8.5])
-        run = minimize(quadratic, SPACE_2D, budget, strategy="nelder-mead",
-                       seed=0, x0=x0)
-        assert np.array_equal(run.evaluated_points[0], x0)
 
 
 class TestGaussianProcess:
