@@ -195,7 +195,7 @@ def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
         writer.writerow(["evaluation", "point", "z", "best_so_far"])
 
         def log(i, x, z, best):
-            writer.writerow([i, " ".join(f"{v:g}" for v in x), z, best])
+            writer.writerow([i, " ".join(f"{v:.17g}" for v in x), z, best])
             fh.flush()  # keep completed evaluations on interrupt
 
         result = run_strategy(strategy, cfg.network, history, scenario,

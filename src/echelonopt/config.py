@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,13 +59,21 @@ class LoadedConfig:
     space: SearchSpace
     generator: HistoryGenParams | None
     optimizers: dict[str, dict]  # only the keys the file gives
-    path: str
 
 
 def _require(mapping: dict, key: str, context: str):
     if key not in mapping:
         raise ConfigError(f"{context}: missing required key {key!r}")
     return mapping[key]
+
+
+def _reject_unknown(raw: dict, known, context: str,
+                    what: str = "keys") -> None:
+    """A key outside ``known`` raises: a default would otherwise hide it."""
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ConfigError(f"{context}: unknown {what} {unknown}; known "
+                          f"{what}: {sorted(known)}")
 
 
 def _integer(value, context: str) -> int:
@@ -76,10 +85,22 @@ def _integer(value, context: str) -> int:
     raise ConfigError(f"{context}: expected an integer, got {value!r}")
 
 
+def _number(value, context: str) -> float:
+    """``value`` as a finite float; strings, booleans and null raise."""
+    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value)):
+        return float(value)
+    raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+
+
 def _load_network(raw: dict) -> NetworkSpec:
+    _reject_unknown(raw, ("facilities",), "network")
     facilities = []
     for entry in _require(raw, "facilities", "network"):
         fid = str(_require(entry, "id", "facility"))
+        _reject_unknown(entry, ("id", "upstream", "base_lead_time",
+                                "target_beta", "serves_customers"),
+                        f"facility {fid}")
         serves = entry.get("serves_customers", False)
         if not isinstance(serves, bool):
             raise ConfigError(f"facility {fid}.serves_customers: expected "
@@ -90,7 +111,8 @@ def _load_network(raw: dict) -> NetworkSpec:
             base_lead_time=_integer(
                 _require(entry, "base_lead_time", "facility"),
                 f"facility {fid}.base_lead_time"),
-            target_beta=float(entry.get("target_beta", 0.0)),
+            target_beta=_number(entry.get("target_beta", 0.0),
+                                f"facility {fid}.target_beta"),
             serves_customers=serves,
         ))
     network = NetworkSpec(facilities)
@@ -104,11 +126,7 @@ def _load_network(raw: dict) -> NetworkSpec:
 def _load_scenario(raw: dict) -> ScenarioConfig:
     ints = ("horizon", "replications", "base_seed")
     floats = ("penalty_rho", "initial_inventory_fraction")
-    known = {*ints, *floats, "demand_choice"}
-    unknown = sorted(set(raw) - known)
-    if unknown:
-        raise ConfigError(f"scenario: unknown keys {unknown}; expected some "
-                          f"of {sorted(known)}")
+    _reject_unknown(raw, (*ints, *floats, "demand_choice"), "scenario")
     choice = str(raw.get("demand_choice", "backorder")).lower()
     try:
         demand_choice = DemandChoice(choice)
@@ -117,8 +135,9 @@ def _load_scenario(raw: dict) -> ScenarioConfig:
                           "'backorder' or 'lost-sales'") from None
     values = {key: _integer(raw[key], f"scenario.{key}")
               for key in ints if key in raw}
+    values.update({key: _number(raw[key], f"scenario.{key}")
+                   for key in floats if key in raw})
     try:
-        values.update({key: float(raw[key]) for key in floats if key in raw})
         return ScenarioConfig(demand_choice=demand_choice, **values)
     except ValueError as exc:
         raise ConfigError(f"scenario: {exc}") from None
@@ -126,10 +145,7 @@ def _load_scenario(raw: dict) -> ScenarioConfig:
 
 def _load_policy(raw: dict, network: NetworkSpec,
                  context: str) -> PolicyVector:
-    unknown = sorted(set(raw) - set(network.ids))
-    if unknown:
-        raise ConfigError(f"{context}: facilities {unknown} are not in the "
-                          "network")
+    _reject_unknown(raw, network.ids, context, "facilities")
     rop, base = {}, {}
     for fid in network.ids:
         entry = _require(raw, fid, context)
@@ -155,6 +171,7 @@ def _load_space(raw: dict, network: NetworkSpec) -> SearchSpace:
         raise ConfigError(f"{context}: need [lo, hi], integers with "
                           "0 <= lo < hi")
 
+    _reject_unknown(raw, network.ids, "bounds", "facilities")
     rop = [pair(fid, "reorder_point") for fid in network.ids]
     base = [pair(fid, "base_stock") for fid in network.ids]
     for fid, (_, r_hi), (_, b_hi) in zip(network.ids, rop, base):
@@ -168,20 +185,23 @@ def _load_space(raw: dict, network: NetworkSpec) -> SearchSpace:
 
 def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
     def series(entry, context):
+        mean, spread = (_number(_require(entry, key, context),
+                                f"{context}.{key}")
+                        for key in ("mean", "spread"))
         try:
-            return SeriesParams(float(_require(entry, "mean", context)),
-                                float(_require(entry, "spread", context)))
+            return SeriesParams(mean, spread)
         except ValueError as exc:
             raise ConfigError(f"{context}: {exc}") from None
 
-    demand_raw = _require(raw, "demand", "generator")
-    lead_raw = _require(raw, "lead_delta", "generator")
-    demand = {fid: series(_require(demand_raw, fid, "generator.demand"),
-                          f"generator.demand[{fid}]")
-              for fid in network.customer_ids}
-    lead = {fid: series(_require(lead_raw, fid, "generator.lead_delta"),
-                        f"generator.lead_delta[{fid}]")
-            for fid in network.ids}
+    def by_facility(key, ids):
+        given = _require(raw, key, "generator")
+        _reject_unknown(given, ids, f"generator.{key}", "facilities")
+        return {fid: series(_require(given, fid, f"generator.{key}"),
+                            f"generator.{key}[{fid}]") for fid in ids}
+
+    _reject_unknown(raw, ("demand", "lead_delta", "length"), "generator")
+    demand = by_facility("demand", network.customer_ids)
+    lead = by_facility("lead_delta", network.ids)
     length = _integer(raw.get("length", 360), "generator.length")
     try:
         return HistoryGenParams(demand=demand, lead_delta=lead, length=length)
@@ -192,35 +212,24 @@ def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
 def merge_optimizer_settings(strategy: str, given: dict) -> dict:
     """The strategy's defaults with ``given`` laid over them.
 
-    Each value is cast to the type of its default; an int setting takes
-    only integral numbers.  A key the strategy has no default for, or a
-    value that does not fit, raises ConfigError.
+    A setting takes the type of its default: an int setting takes only
+    integral numbers, a float setting any finite number.  A key the
+    strategy has no default for, or a value that does not fit, raises
+    ConfigError.
     """
     defaults = DEFAULT_OPTIMIZER_SETTINGS[strategy]
-    unknown = sorted(set(given) - set(defaults))
-    if unknown:
-        raise ConfigError(f"optimizers.{strategy}: unknown settings "
-                          f"{unknown}; expected some of {sorted(defaults)}")
+    _reject_unknown(given, defaults, f"optimizers.{strategy}", "settings")
     merged = {}
     for key, default in defaults.items():
-        value = given.get(key, default)
-        context = f"optimizers.{strategy}.{key}"
-        if isinstance(default, int):
-            merged[key] = _integer(value, context)
-            continue
-        try:
-            merged[key] = type(default)(value)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{context}: expected "
-                              f"{type(default).__name__}, got "
-                              f"{value!r}") from None
+        parse = _integer if isinstance(default, int) else _number
+        merged[key] = parse(given.get(key, default),
+                            f"optimizers.{strategy}.{key}")
     return merged
 
 
 def _load_optimizers(raw: dict) -> dict[str, dict]:
-    unknown = set(raw) - set(DEFAULT_OPTIMIZER_SETTINGS)
-    if unknown:
-        raise ConfigError(f"optimizers: unknown strategies {sorted(unknown)}")
+    _reject_unknown(raw, DEFAULT_OPTIMIZER_SETTINGS, "optimizers",
+                    "strategies")
     for strategy, given in raw.items():
         merge_optimizer_settings(strategy, given)
     return {strategy: dict(given) for strategy, given in raw.items()}
@@ -238,6 +247,8 @@ def _read_json(path: str | Path, kind: str) -> dict:
 
 def load_config(path: str | Path) -> LoadedConfig:
     raw = _read_json(path, "config")
+    _reject_unknown(raw, ("network", "scenario", "initial_policy", "bounds",
+                          "generator", "optimizers"), "config")
     network = _load_network(_require(raw, "network", "config"))
     scenario = _load_scenario(raw.get("scenario", {}))
     policy = _load_policy(_require(raw, "initial_policy", "config"),
@@ -252,39 +263,27 @@ def load_config(path: str | Path) -> LoadedConfig:
         raise ConfigError("initial_policy lies outside the bounds box")
     return LoadedConfig(network=network, scenario=scenario,
                         initial_policy=policy, space=space,
-                        generator=generator, optimizers=optimizers,
-                        path=str(path))
+                        generator=generator, optimizers=optimizers)
 
 
 def load_policy_file(path: str | Path, network: NetworkSpec) -> PolicyVector:
     return _load_policy(_read_json(path, "policy"), network, "policy")
 
 
-def demand_file(history_dir: str | Path, fid: str) -> Path:
-    return Path(history_dir) / f"demand_{fid}.csv"
+def _history_file(history_dir: str | Path, series: str, fid: str) -> Path:
+    return Path(history_dir) / f"{series}_{fid}.csv"
 
 
-def lead_delta_file(history_dir: str | Path, fid: str) -> Path:
-    return Path(history_dir) / f"lead_delta_{fid}.csv"
-
-
-def write_series_csv(path: Path, header: str, values) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([header])
-        for v in values:
-            writer.writerow([int(v)])
-
-
-def read_series_csv(path: Path, header: str) -> np.ndarray:
+def _read_series(history_dir: str | Path, series: str,
+                 fid: str) -> np.ndarray:
+    path = _history_file(history_dir, series, fid)
     if not path.exists():
         raise ConfigError(f"history file not found: {path}")
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = list(reader)
-    if not rows or rows[0] != [header]:
+        rows = list(csv.reader(fh))
+    if not rows or rows[0] != [series]:
         raise ConfigError(f"{path}: expected single-column CSV with "
-                          f"header {header!r}")
+                          f"header {series!r}")
     try:
         return np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
     except (ValueError, IndexError):
@@ -292,26 +291,25 @@ def read_series_csv(path: Path, header: str) -> np.ndarray:
 
 
 def write_history(history: HistoryDataset, out_dir: str | Path) -> list[Path]:
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     written = []
-    for fid, series in history.demand.items():
-        path = demand_file(out_dir, fid)
-        write_series_csv(path, "demand", series)
-        written.append(path)
-    for fid, series in history.lead_delta.items():
-        path = lead_delta_file(out_dir, fid)
-        write_series_csv(path, "lead_delta", series)
-        written.append(path)
+    for series, by_facility in (("demand", history.demand),
+                                ("lead_delta", history.lead_delta)):
+        for fid, values in by_facility.items():
+            path = _history_file(out_dir, series, fid)
+            with open(path, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow([series])
+                writer.writerows([int(v)] for v in values)
+            written.append(path)
     return written
 
 
 def read_history(history_dir: str | Path,
                  network: NetworkSpec) -> HistoryDataset:
-    demand = {fid: read_series_csv(demand_file(history_dir, fid), "demand")
+    demand = {fid: _read_series(history_dir, "demand", fid)
               for fid in network.customer_ids}
-    lead = {fid: read_series_csv(lead_delta_file(history_dir, fid),
-                                 "lead_delta")
+    lead = {fid: _read_series(history_dir, "lead_delta", fid)
             for fid in network.ids}
     try:
         return HistoryDataset(demand=demand, lead_delta=lead)

@@ -39,11 +39,16 @@ def derive_strategy_seed(shared_seed: int, strategy: str) -> int:
 
 
 def make_policy_objective(network: NetworkSpec, history: HistoryDataset,
-                          scenario: ScenarioConfig
+                          scenario: ScenarioConfig, best: list
                           ) -> Callable[[np.ndarray], float]:
+    """Z of a policy vector; ``best`` holds the report of the strictly
+    lowest Z so far, the same point the tracker keeps as its best."""
     def objective(x: np.ndarray) -> float:
-        policy = PolicyVector.from_array(network, x)
-        return evaluate(policy, network, history, scenario).z
+        report = evaluate(PolicyVector.from_array(network, x), network,
+                          history, scenario)
+        if not best or report.z < best[0].z:
+            best[:] = [report]
+        return report.z
 
     return objective
 
@@ -53,7 +58,7 @@ class StrategyResult:
     """One strategy's run, the report on its best policy, its settings."""
 
     run: OptimizerRun
-    report: ObjectiveReport  # the best point re-scored in full
+    report: ObjectiveReport  # kept when the run scored its best point
     settings: dict  # the run's defaults merged with what the caller gave
 
     @property
@@ -86,15 +91,14 @@ def run_strategy(strategy: str, network: NetworkSpec,
            if key in merged})
     tuning = {key: value for key, value in merged.items()
               if key not in _RUN_KEYS}
-    run = minimize(make_policy_objective(network, history, scenario), space,
-                   budget, strategy=strategy, seed=merged["seed"],
+    best: list[ObjectiveReport] = []
+    run = minimize(make_policy_objective(network, history, scenario, best),
+                   space, budget, strategy=strategy, seed=merged["seed"],
                    x0=initial_policy.to_array(network),
                    repair=lambda x: repair_policy_array(x, space.lower,
                                                         space.upper),
                    log=log, **tuning)
-    report = evaluate(PolicyVector.from_array(network, run.best_point),
-                      network, history, scenario)
-    return StrategyResult(run=run, report=report, settings=merged)
+    return StrategyResult(run=run, report=best[0], settings=merged)
 
 
 def comparison_table(results: list[StrategyResult],

@@ -9,8 +9,8 @@ tracker applies the optional ``repair`` hook (integer rounding and
 B >= R enforcement for inventory policies) to each proposal right before
 evaluation, so reported points are the repaired ones; it also enforces
 the evaluation and wall-time budgets, rejects a value that is not
-finite, maintains the nonincreasing best-so-far trace, and streams one
-log record per evaluation to an optional sink.
+finite, keeps every point and value as the run's only record, and
+streams one log record per evaluation to an optional sink.
 """
 
 from __future__ import annotations
@@ -123,7 +123,6 @@ class EvaluationTracker:
         self.started_cpu = time.process_time()
         self.points: list[np.ndarray] = []
         self.values: list[float] = []
-        self.trace: list[float] = []
         self.best_point: np.ndarray | None = None
         self.best_value = float("inf")
 
@@ -163,7 +162,6 @@ class EvaluationTracker:
         if value < self.best_value:
             self.best_value = value
             self.best_point = x.copy()
-        self.trace.append(self.best_value)
         if self.log is not None:
             self.log(self.evaluations, x, value, self.best_value)
         return value
@@ -176,7 +174,7 @@ class EvaluationTracker:
             strategy=strategy,
             best_point=self.best_point.copy(),
             best_value=self.best_value,
-            best_so_far_trace=np.array(self.trace),
+            best_so_far_trace=np.minimum.accumulate(self.values),
             evaluations_used=self.evaluations,
             wall_time_s=self.elapsed(),
             cpu_time_s=time.process_time() - self.started_cpu,

@@ -169,12 +169,9 @@ class GaussianProcess:
 
 def _minimize_lcb(gp: GaussianProcess, space: SearchSpace, kappa: float,
                   rng: np.random.Generator,
-                  best_so_far: np.ndarray | None) -> np.ndarray:
+                  incumbent: np.ndarray) -> np.ndarray:
     """Coarse vectorized scan, then polish the leaders with L-BFGS-B."""
-    candidates = space.sample(rng, ACQUISITION_SCAN)
-    if best_so_far is not None:
-        candidates = np.vstack([candidates,
-                                np.asarray(best_so_far, dtype=float)])
+    candidates = np.vstack([space.sample(rng, ACQUISITION_SCAN), incumbent])
     scores = gp.lower_confidence_bound(candidates, kappa)
     leaders = candidates[np.argsort(scores)[:ACQUISITION_POLISH]]
 
@@ -205,21 +202,20 @@ def gp_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
         design = list(space.latin_hypercube(rng, n_random_starts))
         if cycle == 0 and x0 is not None:
             design.insert(0, space.clip(np.asarray(x0, dtype=float)))
-        xs, ys = [], []  # this cycle's points, as evaluated (post-repair)
+        start = tracker.evaluations  # this cycle's data: the tracker's tail
         for point in design:
-            ys.append(tracker(point))
-            xs.append(tracker.points[-1])
+            tracker(point)
 
         gp = GaussianProcess(space)
         for _ in range(budget.iterations_per_cycle):
-            gp.fit(np.array(xs), np.array(ys))
-            incumbent = xs[int(np.argmin(ys))]
-            candidate = _minimize_lcb(gp, space, kappa, rng, incumbent)
-            gaps = np.max(np.abs(np.array(xs)
-                                 - tracker.preview(candidate)), axis=1)
+            xs = np.array(tracker.points[start:])
+            ys = np.array(tracker.values[start:])
+            gp.fit(xs, ys)
+            candidate = _minimize_lcb(gp, space, kappa, rng,
+                                      xs[int(np.argmin(ys))])
+            gaps = np.max(np.abs(xs - tracker.preview(candidate)), axis=1)
             if gaps.min() < min_gap:  # duplicate would break the fit
                 candidate = space.clip(
                     candidate + rng.uniform(-1e-2, 1e-2, space.dim)
                     * space.span)
-            ys.append(tracker(candidate))
-            xs.append(tracker.points[-1])
+            tracker(candidate)

@@ -19,6 +19,7 @@ EXPAND = 2.0
 CONTRACT = 0.5
 SHRINK = 0.5
 INITIAL_STEP_FRACTION = 0.05  # first cycle's step, as a share of the span
+COLLAPSE_TOL = 1e-8  # simplex size, as a share of the widest span
 
 
 def _initial_simplex(x0: np.ndarray, steps: np.ndarray,
@@ -37,8 +38,7 @@ def _initial_simplex(x0: np.ndarray, steps: np.ndarray,
 
 
 def nelder_mead_restart(tracker: EvaluationTracker, space: SearchSpace, *,
-                        seed: int, x0: np.ndarray | None,
-                        collapse_tol: float = 1e-8) -> None:
+                        seed: int, x0: np.ndarray | None) -> None:
     """Run `budget.cycles` cycles of `budget.iterations_per_cycle` steps."""
     budget = tracker.budget
     rng = np.random.default_rng(seed)
@@ -48,7 +48,7 @@ def nelder_mead_restart(tracker: EvaluationTracker, space: SearchSpace, *,
     incumbent = space.clip(np.asarray(x0, dtype=float))
 
     span = space.span
-    collapse_size = collapse_tol * float(np.max(span))
+    collapse_size = COLLAPSE_TOL * float(np.max(span))
     for cycle in range(budget.cycles):
         scale = INITIAL_STEP_FRACTION * max(0.5 ** cycle, 1e-4)
         signs = rng.choice((-1.0, 1.0), size=dim)

@@ -229,7 +229,7 @@ def rbf_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
         candidate = None
         if move % 2 == 0:
             exploit_idx = move // 2
-            incumbent = tracker.points[int(np.argmin(tracker.values))]
+            incumbent = tracker.best_point
             # cloud scale cycles coarse-to-fine and anneals with the
             # remaining budget, so late exploits polish the incumbent
             remaining = (1.0 - tracker.evaluations

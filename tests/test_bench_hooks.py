@@ -34,3 +34,24 @@ def test_traced_minimize_records_one_run_span(strategy):
         patches.undo()
     assert run.evaluations_used == 12
     assert tracer.count[RUN_SPANS[strategy]] == 1
+
+
+@pytest.mark.parametrize("strategy", sorted(RUN_SPANS))
+def test_traced_run_strategy_scores_each_point_once(strategy):
+    from echelonopt import harness
+    from test_harness import tiny_scenario
+
+    net, hist, scenario, policy, space = tiny_scenario()
+    tracer = tracing.Tracer(tracing.Clock(), 0)
+    patches = tracing.Patches()
+    try:
+        tracing.install_tracer(tracer, patches)
+        result = harness.run_strategy(
+            strategy, net, hist, scenario, space, policy,
+            settings={"max_evaluations": 12, "seed": 1})
+    finally:
+        patches.undo()
+    assert tracer.count["harness.extra_evaluation"] == 0
+    assert tracer.count["harness.objective"] == result.run.evaluations_used
+    # the report came through the tracer's objective wrapper
+    assert result.report.z == result.run.best_value

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from echelonopt.cli import main
-from echelonopt.config import STRATEGIES
+from echelonopt.config import STRATEGIES, merge_optimizer_settings
 from echelonopt.harness import derive_strategy_seed
 
 PRESET = (Path(__file__).resolve().parent.parent / "configs"
@@ -155,6 +155,28 @@ class TestOptimize:
         summary = json.loads((out / "summary_nelder-mead.json").read_text())
         assert summary["evaluations"] == 1
         assert summary["reduction_pct"] == 0.0
+
+    def test_log_writes_points_exactly(self, history_dir, tmp_path):
+        raw = json.loads(PRESET.read_text())
+        raw["initial_policy"]["1"] = {"reorder_point": 1_234_567,
+                                      "base_stock": 3_000_000}
+        raw["bounds"]["1"] = {"reorder_point": [0, 2_000_000],
+                              "base_stock": [0, 6_000_000]}
+        config = tmp_path / "big.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "run"
+        code = main(["optimize", "--config", str(config),
+                     "--history-dir", history_dir, "--strategy",
+                     "nelder-mead", "--out", str(out), "--max-evals", "1",
+                     *TINY_OVERRIDES])
+        assert code == 0
+        with open(out / "evaluations_nelder-mead_backorder.csv") as fh:
+            rows = list(csv.reader(fh))
+        point = [float(v) for v in rows[1][1].split()]
+        ids = [str(i) for i in range(1, 6)]
+        assert point == [
+            *(raw["initial_policy"][f]["reorder_point"] for f in ids),
+            *(raw["initial_policy"][f]["base_stock"] for f in ids)]
 
 
 class TestZeroOverrides:
@@ -399,6 +421,78 @@ class TestConfigValidation:
             load_config(PRESET))
         assert type(cfg.initial_policy.reorder_point["1"]) is int
         assert type(cfg.network.facilities[0].base_lead_time) is int
+
+    # every float field of a config file: (path in the file, the context
+    # its error names, how to read the loaded value)
+    FLOAT_FIELDS = [
+        pytest.param(("network", "facilities", 0, "target_beta"),
+                     r"facility 1\.target_beta",
+                     lambda cfg: cfg.network.facilities[0].target_beta,
+                     id="target_beta"),
+        pytest.param(("scenario", "penalty_rho"), r"scenario\.penalty_rho",
+                     lambda cfg: cfg.scenario.penalty_rho, id="rho"),
+        pytest.param(("scenario", "initial_inventory_fraction"),
+                     r"scenario\.initial_inventory_fraction",
+                     lambda cfg: cfg.scenario.initial_inventory_fraction,
+                     id="fraction"),
+        pytest.param(("generator", "demand", "1", "mean"),
+                     r"generator\.demand\[1\]\.mean",
+                     lambda cfg: cfg.generator.demand["1"].mean, id="mean"),
+        pytest.param(("generator", "lead_delta", "1", "spread"),
+                     r"generator\.lead_delta\[1\]\.spread",
+                     lambda cfg: cfg.generator.lead_delta["1"].spread,
+                     id="spread"),
+        *(pytest.param(("optimizers", strategy, key),
+                       rf"optimizers\.{strategy}\.{key}",
+                       lambda cfg, s=strategy, k=key:
+                       merge_optimizer_settings(s, cfg.optimizers[s])[k],
+                       id=f"{strategy}.{key}")
+          for strategy, key in [("gp", "kappa"),
+                                *((s, "max_minutes") for s in STRATEGIES)]),
+    ]
+
+    @pytest.mark.parametrize("path,context,read", FLOAT_FIELDS)
+    @pytest.mark.parametrize("change", [lambda v: True, str,
+                                        lambda v: None,
+                                        lambda v: float("nan"),
+                                        lambda v: float("inf")],
+                             ids=["bool", "string", "null", "nan", "inf"])
+    def test_float_field_takes_only_finite_numbers(self, tmp_path, path,
+                                                   context, read, change):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        self.replace_field(raw, path, change)
+        with pytest.raises(ConfigError, match=context):
+            load_config(self.write(tmp_path, raw))
+
+    @pytest.mark.parametrize("path,context,read", FLOAT_FIELDS)
+    def test_int_float_field_loads_as_float(self, tmp_path, path, context,
+                                            read):
+        from echelonopt.config import load_config
+        raw = self.base()
+        self.replace_field(raw, path, lambda v: 1)
+        value = read(load_config(self.write(tmp_path, raw)))
+        assert value == 1.0
+        assert type(value) is float
+
+    @pytest.mark.parametrize("path,key", [
+        pytest.param((), "optimiser", id="top"),
+        pytest.param(("network",), "facility", id="network"),
+        pytest.param(("network", "facilities", 0), "target_bta",
+                     id="facility"),
+        pytest.param(("generator",), "lenght", id="generator"),
+        pytest.param(("generator", "demand"), "3", id="generator.demand"),
+        pytest.param(("bounds",), "6", id="bounds"),
+    ])
+    def test_unknown_key_rejected(self, tmp_path, path, key):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        node = raw
+        for step in path:
+            node = node[step]
+        node[key] = 1
+        with pytest.raises(ConfigError, match=rf"unknown \w+ \['{key}'\]"):
+            load_config(self.write(tmp_path, raw))
 
     def test_null_bound_exits_one(self, tmp_path):
         raw = self.base()

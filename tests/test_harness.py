@@ -67,10 +67,12 @@ def test_run_strategy_evaluates_only_the_run_and_its_best(monkeypatch):
     monkeypatch.setattr(harness, "evaluate", counted)
     result = run_strategy("gp", net, hist, scenario, space, policy,
                           settings={"max_evaluations": 12, "seed": 2})
-    # the initial policy is scored once, as the run's first point
-    assert len(calls) == result.run.evaluations_used + 1
+    # the initial policy is scored once, as the run's first point, and
+    # the best point's report is the one kept when the run scored it
+    assert len(calls) == result.run.evaluations_used
     assert calls[0] == policy
     assert result.initial_z == result.run.evaluated_values[0]
+    assert result.report.z == result.run.best_value
 
 
 def test_comparison_table_layout_and_alignment():

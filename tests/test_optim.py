@@ -12,6 +12,7 @@ from echelonopt.optim import (
     SingularInterpolationError,
     minimize,
 )
+from echelonopt.optim import nelder_mead
 
 
 def quadratic(x):
@@ -151,14 +152,15 @@ class TestNelderMead:
         run = minimize(vee, space, budget, strategy="nelder-mead", seed=1)
         assert abs(run.best_point[0] - 5.0) < 1e-3
 
-    def test_collapse_triggers_early_restart(self):
+    def test_collapse_triggers_early_restart(self, monkeypatch):
         # With an absurdly large collapse tolerance every cycle stops
         # right after evaluating its fresh simplex, so the run burns
         # exactly cycles * (dim + 1) evaluations.
+        monkeypatch.setattr(nelder_mead, "COLLAPSE_TOL", 10.0)
         budget = Budget(max_evaluations=1000, cycles=4,
                         iterations_per_cycle=50)
         run = minimize(quadratic, SPACE_2D, budget, strategy="nelder-mead",
-                       seed=3, collapse_tol=10.0)
+                       seed=3)
         assert run.evaluations_used == 4 * 3
 
 
