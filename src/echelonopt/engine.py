@@ -47,16 +47,29 @@ objects and no helper calls inside the loop.
 * Each order queue is a deque of ``[quantity, requester, order_id,
   reserved]`` records; ``reserved`` is None until the order first reaches
   the head of the queue.
-* Random draws are prefetched per replication.  Demand for the whole
-  horizon is drawn up front from each customer facility's stream.  Each
-  facility's lead deltas are drawn as one block of ``horizon`` values
-  from its own lead stream, and its i-th incoming shipment takes the
-  block's i-th value.  A block draw ``integers(0, n, size=k)`` yields the
-  same values as k scalar draws ``integers(0, n)`` from the same
-  generator, and every stream is private to one (replication, facility,
-  purpose), so the common random numbers are the ones a draw per shipment
-  would give.  A facility places at most one order per day, so it
-  receives at most ``horizon`` shipments and the block never runs out.
+* Random draws are made once per scenario.  Under common random numbers
+  every draw is fixed by (base_seed, replication, facility, purpose) and
+  none depends on the policy, so ``_prepare`` builds a ``_Scenario``
+  from (network, history, horizon, base_seed): it validates the network
+  and the history, builds the integer indices and, per replication,
+  draws each customer facility's demand for the whole horizon and each
+  facility's lead times (base lead time plus a bootstrapped delta) as
+  one block of ``horizon`` values.  A facility's i-th incoming shipment
+  takes its block's i-th value.  A block draw ``integers(0, n, size=k)``
+  yields the same values as k scalar draws ``integers(0, n)`` from the
+  same generator, and every stream is private to one (replication,
+  facility, purpose), so the common random numbers are the ones a draw
+  per shipment would give.  A facility places at most one order per
+  day, so it receives at most ``horizon`` shipments and the block never
+  runs out.
+* Only the most recent scenario is held.  The key compares the network
+  by value and the history by identity (``HistoryDataset`` is
+  immutable); demand choice, penalty, initial fraction and replication
+  count change no draw and are not part of it.  Each replication's
+  tables are drawn the first time it is simulated and then kept:
+  replications x (customers + facilities) x horizon ints, 64,800 on the
+  bundled preset.  An invalid network or uncovered history is never
+  cached, so it raises on every call.
 
 One replication is strictly sequential and deterministic in
 (network, policy, history, base_seed, replication); distinct
@@ -67,6 +80,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 
 from .model import (
@@ -112,6 +126,61 @@ def _beta(choice: DemandChoice, demand: int, shipped: int, late: int) -> float:
     return 1.0 - late / demand
 
 
+class _Scenario:
+    """The policy-independent part of a replication: indices and draws."""
+
+    def __init__(self, network: NetworkSpec, history: HistoryDataset,
+                 horizon: int, base_seed: int):
+        network.require_valid()
+        history.require_covers(network)
+        self.network, self.history = network, history
+        self.horizon, self.base_seed = horizon, base_seed
+        self.ids = ids = network.ids
+        position_of = {fid: i for i, fid in enumerate(ids)}
+        self.upstream = tuple(-1 if f.upstream == SOURCE
+                              else position_of[f.upstream]
+                              for f in network.facilities)
+        self.upstream_name = tuple(f.upstream for f in network.facilities)
+        self.suppliers = tuple(sorted(set(self.upstream) - {-1}))
+        self.customers = tuple(position_of[fid]
+                               for fid in network.customer_ids)
+        self.noncustomer = frozenset(range(len(ids))) - set(self.customers)
+        self._draws: dict[int, tuple] = {}
+
+    def draws(self, replication: int) -> tuple:
+        """Demand per customer, demand total and lead times per facility."""
+        tables = self._draws.get(replication)
+        if tables is None:
+            tables = self._draws[replication] = self._draw(replication)
+        return tables
+
+    def _draw(self, replication: int) -> tuple:
+        history, horizon = self.history, self.horizon
+        demand = []
+        total_demand = [0] * len(self.ids)
+        for i, fid in zip(self.customers, self.network.customer_ids):
+            rng = StreamKey(self.base_seed, replication, fid,
+                            StreamPurpose.DEMAND).generator()
+            demand_by_day = tuple(bootstrap_draw_array(
+                history.demand[fid], rng, horizon).tolist())
+            demand.append(demand_by_day)
+            total_demand[i] = sum(demand_by_day)
+        leads = []
+        for f in self.network.facilities:
+            rng = StreamKey(self.base_seed, replication, f.id,
+                            StreamPurpose.LEAD).generator()
+            deltas = bootstrap_draw_array(history.lead_delta[f.id], rng,
+                                          horizon)
+            leads.append(tuple((deltas + f.base_lead_time).tolist()))
+        return tuple(demand), tuple(total_demand), tuple(leads)
+
+
+@lru_cache(maxsize=1)
+def _prepare(network: NetworkSpec, history: HistoryDataset, horizon: int,
+             base_seed: int) -> _Scenario:
+    return _Scenario(network, history, horizon, base_seed)
+
+
 def sim_network(network: NetworkSpec, policy: PolicyVector,
                 history: HistoryDataset, config: ScenarioConfig,
                 replication_index: int, *, record_trace: bool = False,
@@ -128,22 +197,21 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
     if replication_index < 1:
         raise ValueError(f"replication_index must be >= 1, got "
                          f"{replication_index}")
-    network.require_valid()
-    ids = network.ids
+    prepared = _prepare(network, history, config.horizon, config.base_seed)
+    ids = prepared.ids
     for fid in ids:
         if fid not in policy.reorder_point:
             raise InvalidPolicyError(f"policy missing facility {fid}")
-    history.require_covers(network)
+    upstream, upstream_name = prepared.upstream, prepared.upstream_name
+    suppliers, noncustomer = prepared.suppliers, prepared.noncustomer
+    customer_demand, total_demand, leads = prepared.draws(replication_index)
+    customers = list(zip(prepared.customers, customer_demand))
+    next_lead = [iter(lead).__next__ for lead in leads]
 
     horizon = config.horizon
     choice = config.demand_choice
     lost_sales = choice is DemandChoice.LOST_SALES
     n = len(ids)
-    position_of = {fid: i for i, fid in enumerate(ids)}
-    upstream = [-1 if f.upstream == SOURCE else position_of[f.upstream]
-                for f in network.facilities]
-    upstream_name = [f.upstream for f in network.facilities]
-    suppliers = sorted(set(upstream) - {-1})
     reorder_point = [policy.reorder_point[fid] for fid in ids]
     base_stock = [policy.base_stock[fid] for fid in ids]
 
@@ -151,7 +219,6 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                for b in base_stock]
     position = list(on_hand)
     backorders = [0] * n
-    total_demand = [0] * n
     total_shipped = [0] * n
     total_late = [0] * n
     on_hand_sum = [0] * n
@@ -159,27 +226,11 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
     calendar: list[list[tuple[int, int, int]]] = [
         [] for _ in range(horizon + 1)]
 
-    customers = []
-    for fid in network.customer_ids:
-        rng = StreamKey(config.base_seed, replication_index, fid,
-                        StreamPurpose.DEMAND).generator()
-        demand_by_day = bootstrap_draw_array(history.demand[fid], rng,
-                                             horizon).tolist()
-        customers.append((position_of[fid], demand_by_day))
-        total_demand[position_of[fid]] = sum(demand_by_day)
-    next_lead = []
-    for f in network.facilities:
-        rng = StreamKey(config.base_seed, replication_index, f.id,
-                        StreamPurpose.LEAD).generator()
-        deltas = bootstrap_draw_array(history.lead_delta[f.id], rng, horizon)
-        next_lead.append(iter((deltas + f.base_lead_time).tolist()).__next__)
-
     events: list[tuple] | None = [] if record_events else None
     daily: dict[str, dict[str, list]] | None = None
     if record_trace:
         daily = {fid: {"on_hand": [], "inv_position": [], "backorders": [],
                        "demand": [], "shipped": []} for fid in ids}
-    noncustomer = set(range(n)) - {f for f, _ in customers}
 
     next_order_id = 0
     for day in range(1, horizon + 1):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -227,23 +228,26 @@ class ScenarioConfig:
             raise ValueError("initial_inventory_fraction must be in [0, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HistoryDataset:
     """Empirical samples the simulator bootstraps from.
 
     ``demand`` holds daily customer demand per customer-serving facility;
     ``lead_delta`` holds the nonnegative random days added on top of each
-    facility's base lead time.  Arrays are stored read-only.
+    facility's base lead time.  Both are read-only mappings of read-only
+    copies of the given samples, so a dataset never changes after
+    construction.  Equality and hashing are by identity: the simulator
+    keys its draw tables on the dataset object.
     """
 
     demand: Mapping[str, np.ndarray]
     lead_delta: Mapping[str, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "demand", {
-            k: _frozen_samples(k, v) for k, v in self.demand.items()})
-        object.__setattr__(self, "lead_delta", {
-            k: _frozen_samples(k, v) for k, v in self.lead_delta.items()})
+        object.__setattr__(self, "demand", MappingProxyType({
+            k: _frozen_samples(k, v) for k, v in self.demand.items()}))
+        object.__setattr__(self, "lead_delta", MappingProxyType({
+            k: _frozen_samples(k, v) for k, v in self.lead_delta.items()}))
 
     def require_covers(self, network: NetworkSpec) -> None:
         for fid in network.customer_ids:
@@ -255,7 +259,7 @@ class HistoryDataset:
 
 
 def _frozen_samples(fid: str, values) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
+    arr = np.array(values, dtype=np.int64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"facility {fid}: history must be a nonempty 1-D list")
     if (arr < 0).any():

@@ -16,11 +16,15 @@ numerical conditioning and escalates on Cholesky failure.
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.optimize import minimize as scipy_minimize
 
 from .core import EvaluationTracker, SearchSpace
+
+logger = logging.getLogger(__name__)
 
 
 class SingularKernelError(RuntimeError):
@@ -122,6 +126,8 @@ class GaussianProcess:
                 break
             except np.linalg.LinAlgError:
                 jitter *= 100.0
+                logger.debug("gp kernel on %d points not positive "
+                             "definite; raising jitter to %g", len(k), jitter)
                 if jitter > MAX_JITTER:
                     raise SingularKernelError(
                         f"kernel not positive definite at jitter {jitter:g}")

@@ -29,6 +29,7 @@ nonsingular.
 
 from __future__ import annotations
 
+import logging
 import warnings
 
 import numpy as np
@@ -37,6 +38,8 @@ from scipy.optimize import minimize as scipy_minimize
 from scipy.spatial.distance import cdist
 
 from .core import EvaluationTracker, SearchSpace
+
+logger = logging.getLogger(__name__)
 
 
 class SingularInterpolationError(RuntimeError):
@@ -91,6 +94,8 @@ class CubicRbfSurrogate:
                 coef = None
         if coef is None or not np.all(np.isfinite(coef)) \
                 or self._residual(coef, phi, yn) > RESIDUAL_RTOL:
+            logger.debug("rbf fit on %d points: direct solve failed, "
+                         "falling back to least squares", n)
             coef = lstsq(a, rhs, lapack_driver="gelsd")[0]
         if not np.all(np.isfinite(coef)) \
                 or self._residual(coef, phi, yn) > RESIDUAL_RTOL:
@@ -249,8 +254,10 @@ def rbf_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
                                      np.array(tracker.values), space, rng,
                                      incumbent, sigma, tracker.preview,
                                      active=active)
-            except SingularInterpolationError:
-                candidate = None  # explore instead; separation recovers
+            except SingularInterpolationError as exc:
+                # explore instead; separation recovers
+                logger.debug("rbf exploit at evaluation %d: %s; exploring "
+                             "instead", tracker.evaluations, exc)
         if candidate is None:
             candidate = _explore(unit(tracker.points), space, rng)
         tracker(dedupe(candidate))

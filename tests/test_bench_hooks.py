@@ -55,3 +55,23 @@ def test_traced_run_strategy_scores_each_point_once(strategy):
     assert tracer.count["harness.objective"] == result.run.evaluations_used
     # the report came through the tracer's objective wrapper
     assert result.report.z == result.run.best_value
+
+
+def test_traced_evaluates_draw_one_scenarios_streams():
+    from echelonopt import objective
+    from test_harness import tiny_scenario
+
+    net, hist, scenario, policy, space = tiny_scenario()
+    tracer = tracing.Tracer(tracing.Clock(), 0)
+    patches = tracing.Patches()
+    try:
+        tracing.install_tracer(tracer, patches)
+        for _ in range(2):
+            objective.evaluate(policy, net, hist, scenario)
+    finally:
+        patches.undo()
+    streams = len(net.customer_ids) + len(net.ids)
+    assert tracer.count["engine.sim"] == 2 * scenario.replications
+    assert tracer.count["sampling.stream"] == scenario.replications * streams
+    # network check and history check, once for the scenario
+    assert tracer.count["model.validate"] == 2

@@ -4,6 +4,7 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
+from echelonopt import engine, sampling
 from echelonopt.config import load_config
 from echelonopt.engine import InvalidPolicyError, sim_network
 from echelonopt.model import (
@@ -12,10 +13,12 @@ from echelonopt.model import (
     FacilitySpec,
     HistoryDataset,
     NetworkSpec,
+    NetworkValidationError,
     PolicyVector,
     ScenarioConfig,
     repair_policy_array,
 )
+from echelonopt.objective import aggregate_outcomes, evaluate
 from echelonopt.sampling import generate_synthetic_history
 from reference_engine import (
     FacilityState,
@@ -388,6 +391,139 @@ class TestMatchesReferenceEngine:
                 for record in (False, True):
                     assert_matches_reference(cfg.network, policy, history,
                                              scenario, rep, record)
+
+
+def cache_scenario():
+    net = NetworkSpec([
+        FacilitySpec("hub", SOURCE, 2, 0.0, False),
+        FacilitySpec("east", "hub", 1, 0.9, True),
+        FacilitySpec("west", "hub", 3, 0.95, True),
+    ])
+    hist = HistoryDataset(
+        demand={"east": [0, 4, 9, 15], "west": [2, 3, 11]},
+        lead_delta={"hub": [0, 1, 3], "east": [0, 2], "west": [1, 4]})
+    cfg = ScenarioConfig(horizon=90, replications=3, base_seed=11)
+    policy = PolicyVector({"hub": 40, "east": 12, "west": 10},
+                          {"hub": 120, "east": 30, "west": 35})
+    return net, hist, cfg, policy
+
+
+def other_network(net, hist, cfg):
+    slower = NetworkSpec([replace(f, base_lead_time=f.base_lead_time + 2)
+                          if f.id == "west" else f for f in net.facilities])
+    return slower, hist, cfg
+
+
+def other_history(net, hist, cfg):
+    return net, HistoryDataset(
+        demand={"east": [1, 5, 20], "west": [2, 3, 11]},
+        lead_delta=hist.lead_delta), cfg
+
+
+def equal_history(net, hist, cfg):
+    return net, HistoryDataset(demand=dict(hist.demand),
+                               lead_delta=dict(hist.lead_delta)), cfg
+
+
+SCENARIO_CHANGES = {
+    "equal-content history": equal_history,
+    "other history": other_history,
+    "horizon": lambda net, hist, cfg: (net, hist, replace(cfg, horizon=70)),
+    "base_seed": lambda net, hist, cfg: (net, hist,
+                                         replace(cfg, base_seed=12)),
+    "network": other_network,
+}
+
+
+def cold_z(policy, net, hist, cfg):
+    engine._prepare.cache_clear()
+    return evaluate(policy, net, hist, cfg).z
+
+
+def reference_z(policy, net, hist, cfg):
+    outcomes = [reference_sim_network(net, policy, hist, cfg, n)
+                for n in range(1, cfg.replications + 1)]
+    return aggregate_outcomes(outcomes, net.targets, cfg.penalty_rho,
+                              policy).z
+
+
+def count_generators(monkeypatch):
+    built = []
+    original = sampling.StreamKey.generator
+
+    def counting(key):
+        built.append(key)
+        return original(key)
+    monkeypatch.setattr(sampling.StreamKey, "generator", counting)
+    return built
+
+
+class TestScenarioCache:
+    """Draw tables are kept per scenario; a warm cache changes no result."""
+
+    @pytest.mark.parametrize("change", sorted(SCENARIO_CHANGES))
+    def test_interleaved_scenarios_match_cold_runs(self, change):
+        net, hist, cfg, policy = cache_scenario()
+        a = (net, hist, cfg)
+        b = SCENARIO_CHANGES[change](*a)
+        want = {"a": cold_z(policy, *a), "b": cold_z(policy, *b)}
+        assert want["a"] == reference_z(policy, *a)
+        assert want["b"] == reference_z(policy, *b)
+        if change != "equal-content history":
+            assert want["a"] != want["b"]
+        engine._prepare.cache_clear()
+        for name, scenario in (("a", a), ("b", b), ("a", a)):
+            assert evaluate(policy, *scenario).z == want[name]
+            assert_matches_reference(scenario[0], policy, scenario[1],
+                                     scenario[2], 2, record=True)
+
+    @pytest.mark.parametrize("change", [
+        {"demand_choice": DemandChoice.LOST_SALES},
+        {"penalty_rho": 25.0},
+        {"initial_inventory_fraction": 0.3},
+        {"replications": 1},
+        {"replications": 5},
+    ])
+    def test_settings_outside_the_key_reuse_the_draws(self, change,
+                                                      monkeypatch):
+        net, hist, cfg, policy = cache_scenario()
+        other = replace(cfg, **change)
+        want = cold_z(policy, net, hist, other)
+        engine._prepare.cache_clear()
+        evaluate(policy, net, hist, cfg)
+        built = count_generators(monkeypatch)
+        assert evaluate(policy, net, hist, other).z == want
+        new_replications = max(0, other.replications - cfg.replications)
+        streams = len(net.customer_ids) + len(net.ids)
+        assert len(built) == new_replications * streams
+
+    def test_each_stream_is_built_once_per_scenario(self, monkeypatch):
+        net, hist, cfg, policy = cache_scenario()
+        engine._prepare.cache_clear()
+        built = count_generators(monkeypatch)
+        for rop in (0, 10, 20, 30):
+            evaluate(replace(policy, reorder_point={**policy.reorder_point,
+                                                    "east": rop}),
+                     net, hist, cfg)
+        streams = len(net.customer_ids) + len(net.ids)
+        assert len(built) == cfg.replications * streams
+        assert len(set(built)) == len(built)
+
+    def test_invalid_inputs_raise_on_every_call(self):
+        net, hist, cfg, policy = cache_scenario()
+        broken = NetworkSpec([
+            replace(f, upstream="nowhere") if f.id == "west" else f
+            for f in net.facilities])
+        uncovered = HistoryDataset(
+            demand=hist.demand,
+            lead_delta={k: v for k, v in hist.lead_delta.items()
+                        if k != "west"})
+        for _ in range(2):
+            with pytest.raises(NetworkValidationError):
+                sim_network(broken, policy, hist, cfg, 1)
+            with pytest.raises(KeyError):
+                sim_network(net, policy, uncovered, cfg, 1)
+            sim_network(net, policy, hist, cfg, 1)
 
 
 class TestEventConventions:

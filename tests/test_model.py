@@ -10,6 +10,7 @@ from echelonopt.model import (
     TARGET_ON_NONCUSTOMER_FACILITY,
     UNKNOWN_UPSTREAM,
     FacilitySpec,
+    HistoryDataset,
     NetworkSpec,
     NonFiniteInputError,
     PolicyVector,
@@ -169,3 +170,41 @@ class TestRepairPolicy:
         raw = np.array(rows)
         stacked = np.array([repair_policy_array(row, lo, hi) for row in raw])
         assert np.array_equal(repair_policy_array(raw, lo, hi), stacked)
+
+
+class TestHistoryDataset:
+    def test_callers_array_stays_writable(self):
+        samples = np.array([3, 5, 8], dtype=np.int64)
+        history = HistoryDataset(demand={"a": samples},
+                                 lead_delta={"a": samples})
+        assert samples.flags.writeable
+        samples[0] = 99
+        assert history.demand["a"].tolist() == [3, 5, 8]
+        assert history.lead_delta["a"].tolist() == [3, 5, 8]
+
+    def test_writing_the_base_of_a_passed_view_changes_nothing(self):
+        base = np.arange(1, 6, dtype=np.int64)
+        view = base[1:4]
+        view.setflags(write=False)
+        history = HistoryDataset(demand={"a": view}, lead_delta={"a": [0]})
+        base[1] = 99
+        assert history.demand["a"].tolist() == [2, 3, 4]
+
+    def test_mappings_and_samples_are_read_only(self):
+        history = HistoryDataset(demand={"a": [1, 2]},
+                                 lead_delta={"a": [0]})
+        with pytest.raises(TypeError):
+            history.demand["b"] = np.array([1])
+        with pytest.raises(TypeError):
+            history.lead_delta["a"] = np.array([1])
+        with pytest.raises(ValueError):
+            history.demand["a"][0] = 7
+        assert set(history.demand) == {"a"}
+
+    def test_equality_and_hash_are_by_identity(self):
+        def make():
+            return HistoryDataset(demand={"a": [1, 2]},
+                                  lead_delta={"a": [0]})
+        first, second = make(), make()
+        assert first == first and first != second
+        assert len({first, second, first}) == 2

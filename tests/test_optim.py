@@ -234,6 +234,17 @@ class TestCubicRbf:
         with pytest.raises(SingularInterpolationError):
             CubicRbfSurrogate(space).fit(x, np.array([1.0, 2.0, 3.0]))
 
+    def test_consistent_duplicates_fall_back_to_least_squares(self, caplog):
+        space = SearchSpace(np.zeros(2), np.full(2, 1.0))
+        x = np.array([[0.2, 0.2], [0.2, 0.2], [0.8, 0.5], [0.4, 0.9]])
+        y = np.array([1.0, 1.0, 3.0, 2.0])
+        with caplog.at_level("DEBUG", logger="echelonopt.optim.rbf"):
+            surrogate = CubicRbfSurrogate(space).fit(x, y)
+        assert np.allclose(surrogate.predict(x), y, atol=1e-8)
+        assert [r.getMessage() for r in caplog.records] == [
+            "rbf fit on 4 points: direct solve failed, falling back to "
+            "least squares"]
+
     def test_optimize_quadratic_loosely(self):
         run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=80),
                        strategy="rbf", seed=6)
