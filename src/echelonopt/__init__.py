@@ -17,7 +17,6 @@ from .model import (
     NetworkSpec,
     PolicyVector,
     ScenarioConfig,
-    repair_policy,
     validate_network,
 )
 from .objective import ObjectiveReport, evaluate
@@ -54,7 +53,6 @@ __all__ = [
     "evaluate",
     "generate_synthetic_history",
     "minimize",
-    "repair_policy",
     "sim_network",
     "validate_network",
 ]

@@ -27,9 +27,8 @@ from .optim import Budget, OptimizerRun, SearchSpace, minimize
 
 _STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGIES)}
 # Settings that make up the Budget or the seed; a strategy's other
-# settings are passed to its optimizer as keyword arguments.
-_RUN_KEYS = ("max_evaluations", "max_minutes", "cycles",
-             "iterations_per_cycle", "seed")
+# settings are passed to its search as keyword arguments.
+_RUN_KEYS = ("max_evaluations", "max_minutes", "seed")
 
 
 def derive_strategy_seed(shared_seed: int, strategy: str) -> int:
@@ -84,11 +83,8 @@ def run_strategy(strategy: str, network: NetworkSpec,
     scores the initial policy first.
     """
     merged = merge_optimizer_settings(strategy, settings or {})
-    budget = Budget(
-        max_evaluations=merged["max_evaluations"],
-        max_wall_time_s=merged["max_minutes"] * 60.0,
-        **{key: merged[key] for key in ("cycles", "iterations_per_cycle")
-           if key in merged})
+    budget = Budget(max_evaluations=merged["max_evaluations"],
+                    max_wall_time_s=merged["max_minutes"] * 60.0)
     tuning = {key: value for key, value in merged.items()
               if key not in _RUN_KEYS}
     best: list[ObjectiveReport] = []

@@ -288,10 +288,3 @@ def repair_policy_array(raw: np.ndarray, lower: np.ndarray,
     n = x.shape[-1] // 2
     x[..., n:] = np.maximum(x[..., n:], x[..., :n])
     return x
-
-
-def repair_policy(raw: np.ndarray, lower: np.ndarray, upper: np.ndarray,
-                  network: NetworkSpec) -> PolicyVector:
-    """Repair a raw proposal and package it as a PolicyVector."""
-    return PolicyVector.from_array(
-        network, repair_policy_array(raw, lower, upper))

@@ -76,18 +76,22 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class Budget:
-    """Evaluation, wall-time, and cycle limits for one optimizer run."""
+    """The stop rule of one optimizer run: evaluations and wall time."""
 
     max_evaluations: int = 1000
     max_wall_time_s: float = 1440 * 60.0
-    cycles: int = 100
-    iterations_per_cycle: int = 50
 
     def __post_init__(self):
-        for name in ("max_evaluations", "max_wall_time_s", "cycles",
-                     "iterations_per_cycle"):
+        for name in ("max_evaluations", "max_wall_time_s"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+
+
+def require_at_least(minimum: float, **settings) -> None:
+    """Raise a ValueError naming the first setting below ``minimum``."""
+    for name, value in settings.items():
+        if value < minimum:
+            raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
 
 
 @dataclass
@@ -191,7 +195,8 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     """Run one strategy, chosen by name, until its search or budget ends.
 
     ``repair`` must map each row of a 2-D array of proposals as it maps
-    a single proposal; ``strategy_kwargs`` go to the strategy's search.
+    a single proposal; ``strategy_kwargs`` are the search's settings.
+    A given ``x0`` is clipped into the box.
     """
     # read at call time: the benchmark's tracer replaces these attributes
     from . import gp, nelder_mead, rbf
@@ -201,6 +206,8 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     if strategy not in searches:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          "expected nelder-mead, gp, or rbf")
+    if x0 is not None:
+        x0 = space.clip(np.asarray(x0, dtype=float))
     tracker = EvaluationTracker(objective, budget or Budget(), repair=repair,
                                 log=log)
     try:

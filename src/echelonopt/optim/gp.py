@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.optimize import minimize as scipy_minimize
 
-from .core import EvaluationTracker, SearchSpace
+from .core import EvaluationTracker, SearchSpace, require_at_least
 
 logger = logging.getLogger(__name__)
 
@@ -194,26 +194,28 @@ def _minimize_lcb(gp: GaussianProcess, space: SearchSpace, kappa: float,
 
 
 def gp_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
-                seed: int, x0: np.ndarray | None, kappa: float = 50.0,
-                n_random_starts: int = 10) -> None:
+                seed: int, x0: np.ndarray | None, cycles: int,
+                iterations_per_cycle: int, n_random_starts: int,
+                kappa: float) -> None:
     """Cycle-restarted GP search; kappa >= 0 sets the exploration appetite."""
-    if kappa < 0:
-        raise ValueError("kappa must be >= 0")
-    budget = tracker.budget
+    require_at_least(1, cycles=cycles,
+                     iterations_per_cycle=iterations_per_cycle,
+                     n_random_starts=n_random_starts)
+    require_at_least(0, kappa=kappa)
     min_gap = 1e-9 * float(np.max(space.span))
 
-    for cycle in range(budget.cycles):
+    for cycle in range(cycles):
         rng = np.random.default_rng(
             np.random.SeedSequence(seed, spawn_key=(cycle,)))
         design = list(space.latin_hypercube(rng, n_random_starts))
         if cycle == 0 and x0 is not None:
-            design.insert(0, space.clip(np.asarray(x0, dtype=float)))
+            design.insert(0, x0)
         start = tracker.evaluations  # this cycle's data: the tracker's tail
         for point in design:
             tracker(point)
 
         gp = GaussianProcess(space)
-        for _ in range(budget.iterations_per_cycle):
+        for _ in range(iterations_per_cycle):
             xs = np.array(tracker.points[start:])
             ys = np.array(tracker.values[start:])
             gp.fit(xs, ys)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import EvaluationTracker, SearchSpace
+from .core import EvaluationTracker, SearchSpace, require_at_least
 
 REFLECT = 1.0
 EXPAND = 2.0
@@ -38,25 +38,25 @@ def _initial_simplex(x0: np.ndarray, steps: np.ndarray,
 
 
 def nelder_mead_restart(tracker: EvaluationTracker, space: SearchSpace, *,
-                        seed: int, x0: np.ndarray | None) -> None:
-    """Run `budget.cycles` cycles of `budget.iterations_per_cycle` steps."""
-    budget = tracker.budget
+                        seed: int, x0: np.ndarray | None, cycles: int,
+                        iterations_per_cycle: int) -> None:
+    """Run `cycles` cycles of `iterations_per_cycle` simplex steps."""
+    require_at_least(1, cycles=cycles,
+                     iterations_per_cycle=iterations_per_cycle)
     rng = np.random.default_rng(seed)
     dim = space.dim
-    if x0 is None:
-        x0 = 0.5 * (space.lower + space.upper)
-    incumbent = space.clip(np.asarray(x0, dtype=float))
+    incumbent = 0.5 * (space.lower + space.upper) if x0 is None else x0
 
     span = space.span
     collapse_size = COLLAPSE_TOL * float(np.max(span))
-    for cycle in range(budget.cycles):
+    for cycle in range(cycles):
         scale = INITIAL_STEP_FRACTION * max(0.5 ** cycle, 1e-4)
         signs = rng.choice((-1.0, 1.0), size=dim)
         steps = signs * scale * span
         simplex = _initial_simplex(incumbent, steps, space)
         values = np.array([tracker(v) for v in simplex])
 
-        for _ in range(budget.iterations_per_cycle):
+        for _ in range(iterations_per_cycle):
             order = np.argsort(values, kind="stable")
             simplex, values = simplex[order], values[order]
             if np.max(np.abs(simplex[1:] - simplex[0])) < collapse_size:

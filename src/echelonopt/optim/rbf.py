@@ -58,7 +58,6 @@ class CubicRbfSurrogate:
 
     def __init__(self, space: SearchSpace):
         self.space = space
-        self.x_train: np.ndarray | None = None
 
     def _to_unit(self, x: np.ndarray) -> np.ndarray:
         return (x - self.space.lower) / self.space.span
@@ -67,7 +66,6 @@ class CubicRbfSurrogate:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
         n, d = x.shape
-        self.x_train = x
         self._y_mean = float(y.mean())
         self._y_scale = float(np.abs(y - self._y_mean).max())
         if self._y_scale < 1e-12:
@@ -219,13 +217,18 @@ def rbf_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
             if gap >= MIN_SEPARATION:
                 return candidate
             width = 0.01 * (attempt + 1)
+            logger.debug("rbf proposal at evaluation %d is %g from an "
+                         "evaluated point; nudging it by up to %g of the "
+                         "span", tracker.evaluations, gap, width)
             candidate = space.clip(
                 candidate + rng.uniform(-width, width, dim) * space.span)
+        logger.debug("rbf proposal at evaluation %d still a duplicate; "
+                     "exploring instead", tracker.evaluations)
         return _explore(u_train, space, rng)
 
     design = list(space.latin_hypercube(rng, 2 * (dim + 1)))
     if x0 is not None:
-        design.insert(0, space.clip(np.asarray(x0, dtype=float)))
+        design.insert(0, x0)
     for point in design:
         tracker(dedupe(point) if tracker.points else point)
 

@@ -299,15 +299,15 @@ def test_criterion_6_optimizer_sanity():
     space = SearchSpace(np.zeros(4), np.full(4, 10.0))
     runs = {
         "nelder-mead": minimize(
-            quadratic, space,
-            Budget(max_evaluations=300, cycles=6, iterations_per_cycle=50),
-            strategy="nelder-mead", seed=7),
+            quadratic, space, Budget(max_evaluations=300),
+            strategy="nelder-mead", cycles=6, iterations_per_cycle=50,
+            seed=7),
         # kappa is an input; a small value suits a deterministic smooth
         # objective (the inventory default of 50 is exploration-heavy)
         "gp": minimize(
-            quadratic, space,
-            Budget(max_evaluations=300, cycles=4, iterations_per_cycle=70),
-            strategy="gp", kappa=2.0, n_random_starts=8, seed=7),
+            quadratic, space, Budget(max_evaluations=300),
+            strategy="gp", cycles=4, iterations_per_cycle=70, kappa=2.0,
+            n_random_starts=8, seed=7),
         "rbf": minimize(quadratic, space, Budget(max_evaluations=300),
                         strategy="rbf", seed=7),
     }

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from echelonopt.config import DEFAULT_OPTIMIZER_SETTINGS
 from echelonopt.optim import Budget, SearchSpace, minimize
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
@@ -23,13 +24,17 @@ RUN_SPANS = {"nelder-mead": "nelder_mead.run", "gp": "gp.run",
 
 @pytest.mark.parametrize("strategy", sorted(RUN_SPANS))
 def test_traced_minimize_records_one_run_span(strategy):
+    settings = {key: value for key, value
+                in DEFAULT_OPTIMIZER_SETTINGS[strategy].items()
+                if key not in ("max_evaluations", "max_minutes", "seed")}
     tracer = tracing.Tracer(tracing.Clock(), 0)
     patches = tracing.Patches()
     try:
         tracing.install_tracer(tracer, patches)
         run = minimize(lambda x: float(np.sum((x - 3.0) ** 2)),
                        SearchSpace(np.zeros(2), np.full(2, 10.0)),
-                       Budget(max_evaluations=12), strategy=strategy, seed=1)
+                       Budget(max_evaluations=12), strategy=strategy, seed=1,
+                       **settings)
     finally:
         patches.undo()
     assert run.evaluations_used == 12

@@ -178,6 +178,19 @@ class TestOptimize:
             *(raw["initial_policy"][f]["reorder_point"] for f in ids),
             *(raw["initial_policy"][f]["base_stock"] for f in ids)]
 
+    def test_gp_without_random_starts_exits_one(self, history_dir, tmp_path,
+                                                capsys):
+        raw = json.loads(PRESET.read_text())
+        raw["optimizers"]["gp"]["n_random_starts"] = 0
+        config = tmp_path / "no_starts.json"
+        config.write_text(json.dumps(raw))
+        code = main(["optimize", "--config", str(config),
+                     "--history-dir", history_dir, "--strategy", "gp",
+                     "--out", str(tmp_path / "run"), "--max-evals", "30",
+                     *TINY_OVERRIDES])
+        assert code == 1
+        assert "n_random_starts" in capsys.readouterr().err
+
 
 class TestZeroOverrides:
     """A flag given as 0 is rejected, not replaced by the config value."""

@@ -15,7 +15,6 @@ from echelonopt.model import (
     NonFiniteInputError,
     PolicyVector,
     ScenarioConfig,
-    repair_policy,
     repair_policy_array,
     validate_network,
 )
@@ -143,7 +142,8 @@ class TestRepairPolicy:
 
     def test_returns_policy_vector(self):
         net = NetworkSpec([FacilitySpec("a", SOURCE, 1, 0.9, True)])
-        pol = repair_policy(np.array([10.4, 3.0]), self.LO, self.HI, net)
+        pol = PolicyVector.from_array(net, repair_policy_array(
+            np.array([10.4, 3.0]), self.LO, self.HI))
         assert pol.reorder_point["a"] == 10
         assert pol.base_stock["a"] == 10
 

@@ -1,6 +1,9 @@
+import inspect
+
 import numpy as np
 import pytest
 
+from echelonopt.config import DEFAULT_OPTIMIZER_SETTINGS, STRATEGIES
 from echelonopt.model import repair_policy_array
 from echelonopt.optim import (
     Budget,
@@ -12,7 +15,7 @@ from echelonopt.optim import (
     SingularInterpolationError,
     minimize,
 )
-from echelonopt.optim import nelder_mead
+from echelonopt.optim import gp, nelder_mead, rbf
 
 
 def quadratic(x):
@@ -46,8 +49,6 @@ class TestBudget:
     @pytest.mark.parametrize("kwargs", [
         {"max_evaluations": 0},
         {"max_wall_time_s": 0.0},
-        {"cycles": 0},
-        {"iterations_per_cycle": -3},
     ])
     def test_nonpositive_rejected(self, kwargs):
         with pytest.raises(ValueError):
@@ -55,12 +56,44 @@ class TestBudget:
 
 
 STRATEGY_CASES = [
-    ("nelder-mead", {}, Budget(max_evaluations=60, cycles=3,
-                               iterations_per_cycle=15)),
-    ("gp", {"kappa": 2.0, "n_random_starts": 6},
-     Budget(max_evaluations=40, cycles=2, iterations_per_cycle=12)),
+    ("nelder-mead", {"cycles": 3, "iterations_per_cycle": 15},
+     Budget(max_evaluations=60)),
+    ("gp", {"cycles": 2, "iterations_per_cycle": 12, "kappa": 2.0,
+            "n_random_starts": 6}, Budget(max_evaluations=40)),
     ("rbf", {}, Budget(max_evaluations=40)),
 ]
+SEARCHES = {"nelder-mead": nelder_mead.nelder_mead_restart,
+            "gp": gp.gp_optimize, "rbf": rbf.rbf_optimize}
+
+
+class TestSearchSettings:
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_search_requires_exactly_the_table_settings(self, strategy):
+        params = inspect.signature(SEARCHES[strategy]).parameters.values()
+        keyword_only = [p for p in params if p.kind is p.KEYWORD_ONLY]
+        table = set(DEFAULT_OPTIMIZER_SETTINGS[strategy]) - {
+            "max_evaluations", "max_minutes", "seed"}
+        assert {p.name for p in keyword_only} - {"seed", "x0"} == table
+        assert all(p.default is p.empty for p in keyword_only)
+
+    @pytest.mark.parametrize("strategy,name,value", [
+        *((strategy, name, value)
+          for strategy, names in [
+              ("nelder-mead", ("cycles", "iterations_per_cycle")),
+              ("gp", ("cycles", "iterations_per_cycle", "n_random_starts"))]
+          for name in names for value in (0, -3)),
+        ("gp", "kappa", -0.5),
+    ])
+    def test_bad_setting_rejected_before_any_evaluation(self, strategy, name,
+                                                        value):
+        settings = {**dict((s, k) for s, k, _ in STRATEGY_CASES)[strategy],
+                    name: value}
+        calls = []
+        with pytest.raises(ValueError, match=rf"^{name} must be >= "):
+            minimize(lambda x: calls.append(x) or 0.0, SPACE_2D,
+                     Budget(max_evaluations=10), strategy=strategy, seed=0,
+                     **settings)
+        assert calls == []
 
 
 class TestMinimizeContract:
@@ -87,9 +120,7 @@ class TestMinimizeContract:
 
     @pytest.mark.parametrize("strategy,kwargs,budget", STRATEGY_CASES)
     def test_single_evaluation_budget(self, strategy, kwargs, budget):
-        one = Budget(max_evaluations=1, cycles=budget.cycles,
-                     iterations_per_cycle=budget.iterations_per_cycle)
-        run = minimize(quadratic, SPACE_2D, one, strategy=strategy,
+        run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=1), strategy=strategy,
                        seed=2, **kwargs)
         assert run.evaluations_used == 1
         assert run.best_value == quadratic(run.best_point)
@@ -97,10 +128,8 @@ class TestMinimizeContract:
     @pytest.mark.parametrize("strategy,kwargs,budget", STRATEGY_CASES)
     def test_starts_from_supplied_initial_guess(self, strategy, kwargs,
                                                 budget):
-        three = Budget(max_evaluations=3, cycles=budget.cycles,
-                       iterations_per_cycle=budget.iterations_per_cycle)
         x0 = np.array([1.25, 8.5])
-        run = minimize(quadratic, SPACE_2D, three, strategy=strategy,
+        run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=3), strategy=strategy,
                        seed=0, x0=x0, **kwargs)
         assert np.array_equal(run.evaluated_points[0], x0)
         assert run.evaluated_values[0] == quadratic(x0)
@@ -147,9 +176,9 @@ class TestMinimizeContract:
 class TestNelderMead:
     def test_converges_on_vee_function(self):
         space = SearchSpace(np.array([0.0]), np.array([10.0]))
-        budget = Budget(max_evaluations=400, cycles=10,
-                        iterations_per_cycle=40)
-        run = minimize(vee, space, budget, strategy="nelder-mead", seed=1)
+        run = minimize(vee, space, Budget(max_evaluations=400),
+                       strategy="nelder-mead", seed=1, cycles=10,
+                       iterations_per_cycle=40)
         assert abs(run.best_point[0] - 5.0) < 1e-3
 
     def test_collapse_triggers_early_restart(self, monkeypatch):
@@ -157,10 +186,9 @@ class TestNelderMead:
         # right after evaluating its fresh simplex, so the run burns
         # exactly cycles * (dim + 1) evaluations.
         monkeypatch.setattr(nelder_mead, "COLLAPSE_TOL", 10.0)
-        budget = Budget(max_evaluations=1000, cycles=4,
-                        iterations_per_cycle=50)
-        run = minimize(quadratic, SPACE_2D, budget, strategy="nelder-mead",
-                       seed=3)
+        run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=1000),
+                       strategy="nelder-mead", seed=3, cycles=4,
+                       iterations_per_cycle=50)
         assert run.evaluations_used == 4 * 3
 
 
@@ -187,9 +215,8 @@ class TestGaussianProcess:
         assert np.allclose(gp.lower_confidence_bound(grid, 0.0), mu)
 
     def test_optimize_quadratic_loosely(self):
-        budget = Budget(max_evaluations=120, cycles=2,
-                        iterations_per_cycle=50)
-        run = minimize(quadratic, SPACE_2D, budget, strategy="gp",
+        run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=120),
+                       strategy="gp", cycles=2, iterations_per_cycle=50,
                        kappa=2.0, n_random_starts=8, seed=3)
         assert run.best_value < 1e-2
 
@@ -244,6 +271,21 @@ class TestCubicRbf:
         assert [r.getMessage() for r in caplog.records] == [
             "rbf fit on 4 points: direct solve failed, falling back to "
             "least squares"]
+
+    def test_duplicate_proposal_nudged_then_explored(self, caplog):
+        # repair sends every proposal to one point, so no nudge can
+        # separate the second design point from the first
+        with caplog.at_level("DEBUG", logger="echelonopt.optim.rbf"):
+            run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=2),
+                           strategy="rbf", seed=0,
+                           repair=lambda x: np.full(np.shape(x), 5.0))
+        assert run.evaluated_points.tolist() == [[5.0, 5.0]] * 2
+        assert [r.getMessage() for r in caplog.records][:17] == [
+            *(f"rbf proposal at evaluation 1 is 0 from an evaluated point; "
+              f"nudging it by up to {0.01 * i:g} of the span"
+              for i in range(1, 17)),
+            "rbf proposal at evaluation 1 still a duplicate; exploring "
+            "instead"]
 
     def test_optimize_quadratic_loosely(self):
         run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=80),
