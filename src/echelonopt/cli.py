@@ -45,7 +45,7 @@ def _fail(message: str) -> int:
 
 def _given(args: argparse.Namespace, flags: dict[str, str]) -> dict:
     """{field: value} for each flag in ``flags`` (field -> flag) given."""
-    # A given 0 is passed on, so the ScenarioConfig or Budget check
+    # A given 0 is passed on, so the ScenarioConfig or settings check
     # downstream rejects it.
     return {field: getattr(args, flag) for field, flag in flags.items()
             if getattr(args, flag, None) is not None}

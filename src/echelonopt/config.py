@@ -30,7 +30,8 @@ from .model import (
     ScenarioConfig,
     validate_network,
 )
-from .optim import SearchSpace
+from .optim import Budget, SearchSpace
+from .optim.core import check_settings
 from .sampling import HistoryGenParams, SeriesParams
 
 
@@ -214,17 +215,32 @@ def merge_optimizer_settings(strategy: str, given: dict) -> dict:
 
     A setting takes the type of its default: an int setting takes only
     integral numbers, a float setting any finite number.  A key the
-    strategy has no default for, or a value that does not fit, raises
-    ConfigError.
+    strategy has no default for, or a value that does not fit its type,
+    its minimum (``optim.core.SETTING_MINIMUMS``) or the run's Budget,
+    raises ConfigError naming ``optimizers.<strategy>.<key>``.
     """
+    context = f"optimizers.{strategy}"
     defaults = DEFAULT_OPTIMIZER_SETTINGS[strategy]
-    _reject_unknown(given, defaults, f"optimizers.{strategy}", "settings")
+    _reject_unknown(given, defaults, context, "settings")
     merged = {}
     for key, default in defaults.items():
         parse = _integer if isinstance(default, int) else _number
-        merged[key] = parse(given.get(key, default),
-                            f"optimizers.{strategy}.{key}")
+        merged[key] = parse(given.get(key, default), f"{context}.{key}")
+    try:
+        check_settings(merged)
+        run_budget(merged)
+    except ValueError as exc:  # its message starts with the setting's name
+        raise ConfigError(f"{context}.{exc}") from None
     return merged
+
+
+def run_budget(settings: dict) -> Budget:
+    """The Budget that a strategy's merged settings give its run."""
+    for key in ("max_evaluations", "max_minutes"):
+        if settings[key] <= 0:
+            raise ValueError(f"{key} must be positive, got {settings[key]}")
+    return Budget(max_evaluations=settings["max_evaluations"],
+                  max_wall_time_s=settings["max_minutes"] * 60.0)
 
 
 def _load_optimizers(raw: dict) -> dict[str, dict]:

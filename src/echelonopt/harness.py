@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import STRATEGIES, merge_optimizer_settings
+from .config import STRATEGIES, merge_optimizer_settings, run_budget
 from .model import (
     HistoryDataset,
     NetworkSpec,
@@ -23,7 +23,7 @@ from .model import (
     repair_policy_array,
 )
 from .objective import ObjectiveReport, evaluate
-from .optim import Budget, OptimizerRun, SearchSpace, minimize
+from .optim import OptimizerRun, SearchSpace, minimize
 
 _STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGIES)}
 # Settings that make up the Budget or the seed; a strategy's other
@@ -83,13 +83,12 @@ def run_strategy(strategy: str, network: NetworkSpec,
     scores the initial policy first.
     """
     merged = merge_optimizer_settings(strategy, settings or {})
-    budget = Budget(max_evaluations=merged["max_evaluations"],
-                    max_wall_time_s=merged["max_minutes"] * 60.0)
     tuning = {key: value for key, value in merged.items()
               if key not in _RUN_KEYS}
     best: list[ObjectiveReport] = []
     run = minimize(make_policy_objective(network, history, scenario, best),
-                   space, budget, strategy=strategy, seed=merged["seed"],
+                   space, run_budget(merged), strategy=strategy,
+                   seed=merged["seed"],
                    x0=initial_policy.to_array(network),
                    repair=lambda x: repair_policy_array(x, space.lower,
                                                         space.upper),

@@ -7,10 +7,11 @@ search and reports the best point found.  A search loop only proposes
 points inside the box and scores them by calling the tracker.  The
 tracker applies the optional ``repair`` hook (integer rounding and
 B >= R enforcement for inventory policies) to each proposal right before
-evaluation, so reported points are the repaired ones; it also enforces
-the evaluation and wall-time budgets, rejects a value that is not
-finite, keeps every point and value as the run's only record, and
-streams one log record per evaluation to an optional sink.
+evaluation, so reported points are the repaired ones.  It checks the
+wall time before each evaluation, stops the search right after the last
+allowed evaluation, rejects a value that is not finite, keeps every
+point and value as the run's only record, and streams one log record
+per evaluation to an optional sink.
 """
 
 from __future__ import annotations
@@ -87,10 +88,16 @@ class Budget:
                 raise ValueError(f"{name} must be positive")
 
 
-def require_at_least(minimum: float, **settings) -> None:
-    """Raise a ValueError naming the first setting below ``minimum``."""
+# The least value of each search setting, whichever search takes it.
+SETTING_MINIMUMS = {"cycles": 1, "iterations_per_cycle": 1,
+                    "n_random_starts": 1, "kappa": 0}
+
+
+def check_settings(settings: dict) -> None:
+    """Raise a ValueError naming the first setting below its minimum."""
     for name, value in settings.items():
-        if value < minimum:
+        minimum = SETTING_MINIMUMS.get(name)
+        if minimum is not None and value < minimum:
             raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
 
 
@@ -137,10 +144,6 @@ class EvaluationTracker:
     def elapsed(self) -> float:
         return time.perf_counter() - self.started
 
-    def out_of_budget(self) -> bool:
-        return (self.evaluations >= self.budget.max_evaluations
-                or self.elapsed() >= self.budget.max_wall_time_s)
-
     def preview(self, x: np.ndarray) -> np.ndarray:
         """The point, or rows of points, that evaluation would score."""
         x = np.asarray(x, dtype=float)
@@ -149,11 +152,8 @@ class EvaluationTracker:
         return np.asarray(self.repair(x), dtype=float)
 
     def __call__(self, x: np.ndarray) -> float:
-        if self.out_of_budget():
-            if self.evaluations == 0:
-                raise BudgetExhaustedError(
-                    "budget exhausted before the first evaluation")
-            raise _StopSearch()
+        if self.elapsed() >= self.budget.max_wall_time_s:
+            raise _StopSearch()  # finish raises if nothing was evaluated
         x = np.asarray(x, dtype=float)
         if self.repair is not None:
             x = np.asarray(self.repair(x), dtype=float)
@@ -168,6 +168,8 @@ class EvaluationTracker:
             self.best_point = x.copy()
         if self.log is not None:
             self.log(self.evaluations, x, value, self.best_value)
+        if self.evaluations >= self.budget.max_evaluations:
+            raise _StopSearch()  # the search has no use for its last value
         return value
 
     def finish(self, strategy: str) -> OptimizerRun:
@@ -195,8 +197,9 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     """Run one strategy, chosen by name, until its search or budget ends.
 
     ``repair`` must map each row of a 2-D array of proposals as it maps
-    a single proposal; ``strategy_kwargs`` are the search's settings.
-    A given ``x0`` is clipped into the box.
+    a single proposal; ``strategy_kwargs`` are the search's settings,
+    checked against ``SETTING_MINIMUMS`` before the search starts.  A
+    given ``x0`` is clipped into the box.
     """
     # read at call time: the benchmark's tracer replaces these attributes
     from . import gp, nelder_mead, rbf
@@ -206,6 +209,7 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     if strategy not in searches:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          "expected nelder-mead, gp, or rbf")
+    check_settings(strategy_kwargs)
     if x0 is not None:
         x0 = space.clip(np.asarray(x0, dtype=float))
     tracker = EvaluationTracker(objective, budget or Budget(), repair=repair,

@@ -22,7 +22,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, cholesky
 from scipy.optimize import minimize as scipy_minimize
 
-from .core import EvaluationTracker, SearchSpace, require_at_least
+from .core import EvaluationTracker, SearchSpace
 
 logger = logging.getLogger(__name__)
 
@@ -198,10 +198,6 @@ def gp_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
                 iterations_per_cycle: int, n_random_starts: int,
                 kappa: float) -> None:
     """Cycle-restarted GP search; kappa >= 0 sets the exploration appetite."""
-    require_at_least(1, cycles=cycles,
-                     iterations_per_cycle=iterations_per_cycle,
-                     n_random_starts=n_random_starts)
-    require_at_least(0, kappa=kappa)
     min_gap = 1e-9 * float(np.max(space.span))
 
     for cycle in range(cycles):

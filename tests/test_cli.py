@@ -266,6 +266,20 @@ class TestCompare:
             header = next(csv.reader(fh))
         assert header == ["", "rbf"]
 
+    def test_bad_setting_fails_before_any_run(self, history_dir, tmp_path,
+                                              capsys):
+        raw = json.loads(PRESET.read_text())
+        raw["optimizers"]["gp"]["n_random_starts"] = 0
+        config = tmp_path / "no_starts.json"
+        config.write_text(json.dumps(raw))
+        out = tmp_path / "cmp"
+        code = main(["compare", "--config", str(config),
+                     "--history-dir", history_dir, "--out", str(out),
+                     "--max-evals", "12", *TINY_OVERRIDES])
+        assert code == 1
+        assert "optimizers.gp.n_random_starts" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_both_choices_emit_two_tables(self, config_path, history_dir,
                                           tmp_path):
         out = tmp_path / "both"
@@ -336,6 +350,15 @@ class TestConfigValidation:
         raw = self.base()
         raw["optimizers"]["rbf"]["max_evaluations"] = value
         with pytest.raises(ConfigError, match="rbf.max_evaluations"):
+            load_config(self.write(tmp_path, raw))
+
+    @pytest.mark.parametrize("key", ["max_evaluations", "max_minutes"])
+    def test_zero_budget_setting_rejected(self, tmp_path, key):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        raw["optimizers"]["gp"][key] = 0
+        with pytest.raises(ConfigError,
+                           match=rf"optimizers\.gp\.{key} must be positive"):
             load_config(self.write(tmp_path, raw))
 
     @pytest.mark.parametrize("value", [10, 10.0])

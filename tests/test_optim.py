@@ -191,6 +191,42 @@ class TestNelderMead:
                        iterations_per_cycle=50)
         assert run.evaluations_used == 4 * 3
 
+    def test_iterations_per_cycle_counts_simplex_steps(self):
+        counts = [
+            minimize(quadratic, SPACE_2D, Budget(max_evaluations=1000),
+                     strategy="nelder-mead", seed=0,
+                     x0=np.array([1.25, 8.5]), cycles=1,
+                     iterations_per_cycle=k).evaluations_used
+            for k in range(1, 9)]
+        assert counts == [5, 7, 9, 10, 12, 14, 15, 17]
+
+    def test_each_cycle_starts_from_a_fresh_simplex(self):
+        x0 = np.array([1.25, 8.5])
+        settings = {"strategy": "nelder-mead", "seed": 4, "x0": x0,
+                    "iterations_per_cycle": 6}
+        first = minimize(quadratic, SPACE_2D, Budget(max_evaluations=1000),
+                         cycles=1, **settings)
+        run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=1000),
+                       cycles=2, **settings)
+        rng = np.random.default_rng(4)
+        n = first.evaluations_used
+        for start, incumbent, scale in [(0, x0, 1.0),
+                                        (n, first.best_point, 0.5)]:
+            steps = (rng.choice((-1.0, 1.0), size=2) * scale
+                     * nelder_mead.INITIAL_STEP_FRACTION * SPACE_2D.span)
+            assert np.array_equal(
+                run.evaluated_points[start:start + 3],
+                nelder_mead._initial_simplex(incumbent, steps, SPACE_2D))
+
+    def test_optimum_on_a_bound_without_repair(self):
+        run = minimize(lambda x: float(x[0] + 2.0 * x[1]), SPACE_2D,
+                       Budget(max_evaluations=300), strategy="nelder-mead",
+                       seed=0, x0=np.array([6.0, 7.0]), cycles=6,
+                       iterations_per_cycle=40)
+        assert np.all(run.evaluated_points >= SPACE_2D.lower)
+        assert np.all(run.evaluated_points <= SPACE_2D.upper)
+        assert run.best_point.tolist() == [0.0, 0.0]
+
 
 class TestGaussianProcess:
     def test_noise_free_interpolation_and_variance(self):
@@ -219,6 +255,18 @@ class TestGaussianProcess:
                        strategy="gp", cycles=2, iterations_per_cycle=50,
                        kappa=2.0, n_random_starts=8, seed=3)
         assert run.best_value < 1e-2
+
+    def test_no_fit_after_the_last_evaluation(self, monkeypatch):
+        fits = []
+        fit = GaussianProcess.fit
+        monkeypatch.setattr(GaussianProcess, "fit",
+                            lambda self, x, y: fits.append(len(x))
+                            or fit(self, x, y))
+        run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=5),
+                       strategy="gp", seed=0, cycles=1,
+                       iterations_per_cycle=5, n_random_starts=3, kappa=2.0)
+        assert run.evaluations_used == 5
+        assert fits == [3, 4]
 
 
 class TestCubicRbf:
@@ -280,12 +328,23 @@ class TestCubicRbf:
                            strategy="rbf", seed=0,
                            repair=lambda x: np.full(np.shape(x), 5.0))
         assert run.evaluated_points.tolist() == [[5.0, 5.0]] * 2
-        assert [r.getMessage() for r in caplog.records][:17] == [
+        assert [r.getMessage() for r in caplog.records] == [
             *(f"rbf proposal at evaluation 1 is 0 from an evaluated point; "
               f"nudging it by up to {0.01 * i:g} of the span"
               for i in range(1, 17)),
             "rbf proposal at evaluation 1 still a duplicate; exploring "
             "instead"]
+
+    def test_no_fit_after_the_last_evaluation(self, monkeypatch):
+        fits = []
+        fit = CubicRbfSurrogate.fit
+        monkeypatch.setattr(CubicRbfSurrogate, "fit",
+                            lambda self, x, y: fits.append(len(x))
+                            or fit(self, x, y))
+        run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=8),
+                       strategy="rbf", seed=0)
+        assert run.evaluations_used == 8
+        assert fits == [6]  # the design's six points; then one explore
 
     def test_optimize_quadratic_loosely(self):
         run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=80),
