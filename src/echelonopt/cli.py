@@ -23,6 +23,7 @@ from .config import (
     LoadedConfig,
     load_config,
     load_policy_file,
+    merge_optimizer_settings,
     read_history,
     write_history,
 )
@@ -35,6 +36,7 @@ from .harness import (
 from .model import DemandChoice, PolicyVector, ScenarioConfig
 from .engine import sim_network
 from .objective import evaluate
+from .optim import Budget
 from .sampling import generate_synthetic_history
 
 
@@ -177,19 +179,32 @@ def cmd_evaluate(args) -> int:
     return 0 if report.feasible else 2
 
 
-def _settings_overrides(args) -> dict:
-    return _given(args, {"max_evaluations": "max_evals",
-                         "max_minutes": "max_minutes", "seed": "seed"})
+def _strategy_settings(cfg: LoadedConfig, args: argparse.Namespace,
+                       strategy: str, seed: int | None = None) -> dict:
+    """The strategy's defaults, config keys, flags and ``seed``, laid in
+    that order; a budget flag that is not positive raises naming it."""
+    flags = _given(args, {"max_evaluations": "max_evals",
+                          "max_minutes": "max_minutes", "seed": "seed"})
+    for key, flag in (("max_evaluations", "--max-evals"),
+                      ("max_minutes", "--max-minutes")):
+        if key in flags:
+            try:
+                Budget(**{key: flags[key]})
+            except ValueError as exc:
+                raise ConfigError(f"{flag}: {exc}") from None
+    if seed is not None:
+        flags["seed"] = seed
+    return merge_optimizer_settings(
+        strategy, {**cfg.optimizers.get(strategy, {}), **flags})
 
 
 def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
-                      out_dir: Path, overrides: dict, stem: str):
-    """Run one strategy; write its evaluation log, best policy and summary."""
+                      out_dir: Path, settings: dict, stem: str):
+    """Run a strategy on its merged settings; write log, policy, summary."""
     choice = scenario.demand_choice.value
     paths = {"log": out_dir / f"evaluations_{strategy}_{choice}.csv",
              "policy": out_dir / f"best_policy_{stem}.json",
              "summary": out_dir / f"summary_{stem}.json"}
-    settings = {**cfg.optimizers.get(strategy, {}), **overrides}
     with open(paths["log"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["evaluation", "point", "z", "best_so_far"])
@@ -224,11 +239,11 @@ def cmd_optimize(args) -> int:
     cfg = load_config(args.config)
     history = read_history(args.history_dir, cfg.network)
     scenario = _scenario_with_overrides(cfg, args)
+    settings = _strategy_settings(cfg, args, args.strategy)
     out_dir = _make_out_dir(args)
 
-    result, paths = _run_one_strategy(
-        cfg, history, scenario, args.strategy, out_dir,
-        overrides=_settings_overrides(args), stem=args.strategy)
+    result, paths = _run_one_strategy(cfg, history, scenario, args.strategy,
+                                      out_dir, settings, stem=args.strategy)
     print(f"strategy {args.strategy}: best Z {result.run.best_value:.2f} "
           f"({result.reduction_pct:.1f}% reduction from the initial guess), "
           f"{result.run.evaluations_used} evaluations, "
@@ -241,23 +256,21 @@ def cmd_optimize(args) -> int:
 def cmd_compare(args) -> int:
     cfg = load_config(args.config)
     history = read_history(args.history_dir, cfg.network)
-    out_dir = _make_out_dir(args)
-
     strategies = [args.strategy] if args.strategy else list(STRATEGIES)
     choices = (["backorder", "lost-sales"] if args.choice == "both"
                else [args.choice or cfg.scenario.demand_choice.value])
-    overrides = _settings_overrides(args)
+    scenarios = [_scenario_with_overrides(cfg, args, c) for c in choices]
+    base_seed = scenarios[0].base_seed  # the same for every choice
+    settings = {s: _strategy_settings(cfg, args, s,
+                                      derive_strategy_seed(base_seed, s))
+                for s in strategies}
+    out_dir = _make_out_dir(args)
 
-    for choice in choices:
-        scenario = _scenario_with_overrides(cfg, args, choice)
-        results = []
-        for strategy in strategies:
-            seed = derive_strategy_seed(scenario.base_seed, strategy)
-            result, _ = _run_one_strategy(
-                cfg, history, scenario, strategy, out_dir,
-                overrides={**overrides, "seed": seed},
-                stem=f"{strategy}_{choice}")
-            results.append(result)
+    for choice, scenario in zip(choices, scenarios):
+        results = [_run_one_strategy(cfg, history, scenario, strategy,
+                                     out_dir, merged,
+                                     stem=f"{strategy}_{choice}")[0]
+                   for strategy, merged in settings.items()]
 
         rows = comparison_table(results, cfg.network)
         csv_path = out_dir / f"comparison_{choice}.csv"
@@ -340,8 +353,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits after usage or --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except ConfigError as exc:

@@ -228,19 +228,10 @@ def merge_optimizer_settings(strategy: str, given: dict) -> dict:
         merged[key] = parse(given.get(key, default), f"{context}.{key}")
     try:
         check_settings(merged)
-        run_budget(merged)
+        Budget(merged["max_evaluations"], merged["max_minutes"])
     except ValueError as exc:  # its message starts with the setting's name
         raise ConfigError(f"{context}.{exc}") from None
     return merged
-
-
-def run_budget(settings: dict) -> Budget:
-    """The Budget that a strategy's merged settings give its run."""
-    for key in ("max_evaluations", "max_minutes"):
-        if settings[key] <= 0:
-            raise ValueError(f"{key} must be positive, got {settings[key]}")
-    return Budget(max_evaluations=settings["max_evaluations"],
-                  max_wall_time_s=settings["max_minutes"] * 60.0)
 
 
 def _load_optimizers(raw: dict) -> dict[str, dict]:

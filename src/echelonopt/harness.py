@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import STRATEGIES, merge_optimizer_settings, run_budget
+from .config import STRATEGIES, merge_optimizer_settings
 from .model import (
     HistoryDataset,
     NetworkSpec,
@@ -23,12 +23,9 @@ from .model import (
     repair_policy_array,
 )
 from .objective import ObjectiveReport, evaluate
-from .optim import OptimizerRun, SearchSpace, minimize
+from .optim import Budget, OptimizerRun, SearchSpace, minimize
 
 _STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGIES)}
-# Settings that make up the Budget or the seed; a strategy's other
-# settings are passed to its search as keyword arguments.
-_RUN_KEYS = ("max_evaluations", "max_minutes", "seed")
 
 
 def derive_strategy_seed(shared_seed: int, strategy: str) -> int:
@@ -79,20 +76,21 @@ def run_strategy(strategy: str, network: NetworkSpec,
     """Run one strategy end to end against the inventory objective.
 
     ``settings`` overrides the strategy's keys in
-    ``DEFAULT_OPTIMIZER_SETTINGS``, the seed included.  Every strategy
-    scores the initial policy first.
+    ``DEFAULT_OPTIMIZER_SETTINGS``, the seed included.  The budget and
+    the seed are taken out of the merged settings; the rest go to the
+    search.  Every strategy scores the initial policy first.
     """
     merged = merge_optimizer_settings(strategy, settings or {})
-    tuning = {key: value for key, value in merged.items()
-              if key not in _RUN_KEYS}
+    search = dict(merged)
+    budget = Budget(search.pop("max_evaluations"), search.pop("max_minutes"))
+    seed = search.pop("seed")
     best: list[ObjectiveReport] = []
     run = minimize(make_policy_objective(network, history, scenario, best),
-                   space, run_budget(merged), strategy=strategy,
-                   seed=merged["seed"],
+                   space, budget, strategy=strategy, seed=seed,
                    x0=initial_policy.to_array(network),
                    repair=lambda x: repair_policy_array(x, space.lower,
                                                         space.upper),
-                   log=log, **tuning)
+                   log=log, **search)
     return StrategyResult(run=run, report=best[0], settings=merged)
 
 

@@ -92,12 +92,6 @@ class NetworkSpec:
     def customer_ids(self) -> tuple[str, ...]:
         return tuple(f.id for f in self.facilities if f.serves_customers)
 
-    def facility(self, facility_id: str) -> FacilitySpec:
-        for f in self.facilities:
-            if f.id == facility_id:
-                return f
-        raise KeyError(facility_id)
-
     @property
     def targets(self) -> dict[str, float]:
         return {f.id: f.target_beta for f in self.facilities}

@@ -77,15 +77,16 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class Budget:
-    """The stop rule of one optimizer run: evaluations and wall time."""
+    """The stop rule of one optimizer run: evaluations and wall minutes."""
 
     max_evaluations: int = 1000
-    max_wall_time_s: float = 1440 * 60.0
+    max_minutes: float = 1440.0
 
     def __post_init__(self):
-        for name in ("max_evaluations", "max_wall_time_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for name in ("max_evaluations", "max_minutes"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 # The least value of each search setting, whichever search takes it.
@@ -152,7 +153,7 @@ class EvaluationTracker:
         return np.asarray(self.repair(x), dtype=float)
 
     def __call__(self, x: np.ndarray) -> float:
-        if self.elapsed() >= self.budget.max_wall_time_s:
+        if self.elapsed() >= self.budget.max_minutes * 60.0:
             raise _StopSearch()  # finish raises if nothing was evaluated
         x = np.asarray(x, dtype=float)
         if self.repair is not None:

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -53,6 +54,26 @@ class TestGenerateData:
         assert main(["generate-data", "--config", "/nope/absent.json",
                      "--out", str(tmp_path / "x")]) == 1
         assert "absent.json" in capsys.readouterr().err
+
+
+class TestUsageErrors:
+    """Usage errors exit 1; 2 is kept for a policy that misses targets."""
+
+    def test_missing_required_flag_exits_one(self, tmp_path, capsys):
+        assert main(["generate-data", "--out", str(tmp_path / "x")]) == 1
+        assert "--config" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_non_integer_flag_exits_one(self, config_path, history_dir,
+                                        capsys):
+        assert main(["evaluate", "--config", config_path,
+                     "--history-dir", history_dir,
+                     "--replications", "abc"]) == 1
+        assert "--replications" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert main(["--help"]) == 0
+        assert "usage:" in capsys.readouterr().out
 
 
 class TestSimulate:
@@ -212,6 +233,28 @@ class TestZeroOverrides:
                      flag, "0", "--replications", "1", "--horizon", "30"])
         assert code == 1
         assert "must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("flag,named", [
+        ("--max-evals", "--max-evals: max_evaluations must be positive"),
+        ("--max-minutes", "--max-minutes: max_minutes must be positive"),
+        ("--horizon", "horizon must be >= 1"),
+        ("--replications", "replications must be >= 1"),
+    ], ids=["--max-evals", "--max-minutes", "--horizon", "--replications"])
+    def test_zero_flag_fails_before_any_file(self, config_path, history_dir,
+                                             tmp_path, command, flag, named,
+                                             capsys):
+        out = tmp_path / "zero"
+        strategy = ["--strategy", "nelder-mead"] if command == "optimize" \
+            else []
+        # the flag under test comes last, so it replaces the small default
+        code = main([command, "--config", config_path,
+                     "--history-dir", history_dir, "--out", str(out),
+                     *strategy, "--replications", "1", "--horizon", "30",
+                     "--max-evals", "1", flag, "0"])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCompare:
@@ -542,6 +585,66 @@ class TestConfigValidation:
         raw["network"]["facilities"][0]["serves_customers"] = "false"
         with pytest.raises(ConfigError, match="serves_customers"):
             load_config(self.write(tmp_path, raw))
+
+    # (command, config edit, history file to rewrite, error fragment); an
+    # edit given as text replaces the whole config file
+    BAD_INPUTS = [
+        pytest.param("generate-data", lambda raw: raw.pop("generator"), None,
+                     "config has no generator section", id="no-generator"),
+        pytest.param("optimize", lambda raw: raw["network"]["facilities"][0]
+                     .pop("upstream"), None,
+                     "facility: missing required key 'upstream'",
+                     id="no-upstream"),
+        pytest.param("optimize", lambda raw: raw["scenario"].update(
+            demand_choice="lost"), None,
+            "must be 'backorder' or 'lost-sales'", id="demand-choice"),
+        pytest.param("optimize", lambda raw: raw["scenario"].update(
+            penalty_rho=-1), None,
+            "scenario: penalty_rho must be >= 0", id="penalty-rho"),
+        pytest.param("optimize", lambda raw: raw["initial_policy"].update(
+            {"1": {"reorder_point": 10, "base_stock": 5}}), None,
+            "need base_stock >= reorder_point", id="base-below-rop"),
+        pytest.param("optimize", lambda raw: raw["bounds"]["1"].update(
+            reorder_point=[5, 1]), None, "need [lo, hi]", id="reversed-bound"),
+        pytest.param("optimize", lambda raw: raw["generator"]["demand"]["1"]
+                     .update(spread=-1), None, "spread -1.0 < 0",
+                     id="negative-spread"),
+        pytest.param("optimize", lambda raw: raw["generator"].update(
+            length=0), None, "length 0 <= 0", id="zero-length"),
+        pytest.param("optimize", "{not json", None,
+                     "is not valid JSON", id="not-json"),
+        pytest.param("optimize", None, ("demand_1.csv", "lead_delta\n3\n"),
+                     "expected single-column CSV", id="history-header"),
+        pytest.param("optimize", None, ("demand_1.csv", "demand\n1.5\n"),
+                     "non-integer value in series", id="history-fraction"),
+        pytest.param("optimize", None, ("demand_1.csv", "demand\n-3\n"),
+                     "history samples must be nonnegative",
+                     id="history-negative"),
+    ]
+
+    @pytest.mark.parametrize("command,edit,history,fragment", BAD_INPUTS)
+    def test_bad_input_exits_one_and_writes_nothing(self, history_dir,
+                                                    tmp_path, capsys,
+                                                    command, edit, history,
+                                                    fragment):
+        raw = self.base()
+        if callable(edit):
+            edit(raw)
+        config = tmp_path / "bad.json"
+        config.write_text(edit if isinstance(edit, str) else json.dumps(raw))
+        hist = shutil.copytree(history_dir, tmp_path / "history")
+        if history:
+            (hist / history[0]).write_text(history[1])
+        out = tmp_path / "out"
+        argv = [command, "--config", str(config), "--out", str(out)]
+        if command == "optimize":
+            argv += ["--history-dir", str(hist), "--strategy", "rbf",
+                     "--max-evals", "2", *TINY_OVERRIDES]
+        assert main(argv) == 1
+        errors = capsys.readouterr().err.splitlines()
+        assert any(line.startswith("error:") and fragment in line
+                   for line in errors), errors
+        assert not out.exists()
 
     def test_invalid_network_rejected(self, tmp_path):
         from echelonopt.config import ConfigError, load_config

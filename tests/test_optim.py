@@ -48,11 +48,16 @@ class TestSearchSpace:
 class TestBudget:
     @pytest.mark.parametrize("kwargs", [
         {"max_evaluations": 0},
-        {"max_wall_time_s": 0.0},
+        {"max_minutes": 0.0},
     ])
     def test_nonpositive_rejected(self, kwargs):
         with pytest.raises(ValueError):
             Budget(**kwargs)
+
+    def test_message_names_the_value(self):
+        with pytest.raises(ValueError,
+                           match="max_minutes must be positive, got 0"):
+            Budget(max_minutes=0)
 
 
 STRATEGY_CASES = [
@@ -144,7 +149,7 @@ class TestMinimizeContract:
                      **kwargs)
 
     def test_degenerate_wall_time_raises(self):
-        budget = Budget(max_evaluations=10, max_wall_time_s=1e-12)
+        budget = Budget(max_evaluations=10, max_minutes=1e-12)
         with pytest.raises(BudgetExhaustedError):
             minimize(quadratic, SPACE_2D, budget, strategy="rbf", seed=0)
 
