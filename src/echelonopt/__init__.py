@@ -2,10 +2,10 @@
 
 A daily-tick discrete-event simulator of reorder-point / base-stock
 networks with bootstrap-sampled demand and lead-time variability, a
-penalized service-level objective, and three in-house derivative-free
-optimizers (restarted Nelder-Mead, Gaussian-process search, cubic-RBF
-surrogate search) for minimizing average on-hand inventory subject to
-fill-rate targets.
+penalized service-level objective, and three derivative-free
+optimizers (restarted SciPy Nelder-Mead, Gaussian-process search,
+cubic-RBF surrogate search) for minimizing average on-hand inventory
+subject to fill-rate targets.
 """
 
 from .engine import SimulationOutcome, sim_network

@@ -24,6 +24,7 @@ from .config import (
     load_config,
     load_policy_file,
     merge_optimizer_settings,
+    policy_payload,
     read_history,
     write_history,
 )
@@ -33,10 +34,10 @@ from .harness import (
     format_table,
     run_strategy,
 )
-from .model import DemandChoice, PolicyVector, ScenarioConfig
+from .model import DemandChoice, ScenarioConfig
 from .engine import sim_network
 from .objective import evaluate
-from .optim import Budget
+from .optim import Budget, BudgetExhaustedError, SingularKernelError
 from .sampling import generate_synthetic_history
 
 
@@ -53,41 +54,36 @@ def _given(args: argparse.Namespace, flags: dict[str, str]) -> dict:
             if getattr(args, flag, None) is not None}
 
 
-def _scenario_with_overrides(cfg: LoadedConfig, args: argparse.Namespace,
-                             choice: str | None = None) -> ScenarioConfig:
-    """The configured scenario with each flag that was given laid over it.
-
-    ``choice`` names the demand choice when the command picks it itself.
-    """
+def _scenario(cfg: LoadedConfig, args: argparse.Namespace) -> ScenarioConfig:
+    """The configured scenario with each flag that was given laid over it."""
     changes = _given(args, {"horizon": "horizon",
                             "replications": "replications",
                             "base_seed": "seed"})
-    choice = choice or getattr(args, "choice", None)
-    if choice:
-        changes["demand_choice"] = DemandChoice(choice)
+    if getattr(args, "choice", None) not in (None, "both"):  # both: per run
+        changes["demand_choice"] = DemandChoice(args.choice)
     return replace(cfg.scenario, **changes)
 
 
-def _policy_from_args(cfg: LoadedConfig,
-                      args: argparse.Namespace) -> PolicyVector:
-    if getattr(args, "policy", None):
-        return load_policy_file(args.policy, cfg.network)
-    return cfg.initial_policy
+def _load_inputs(args: argparse.Namespace):
+    """The config, history, scenario and ``--policy`` a command runs on."""
+    cfg = load_config(args.config)
+    history = read_history(args.history_dir, cfg.network)
+    scenario = _scenario(cfg, args)
+    policy = (load_policy_file(args.policy, cfg.network)
+              if getattr(args, "policy", None) else cfg.initial_policy)
+    return cfg, history, scenario, policy
 
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _policy_payload(policy: PolicyVector, network) -> dict:
-    return {fid: {"reorder_point": policy.reorder_point[fid],
-                  "base_stock": policy.base_stock[fid]}
-            for fid in network.ids}
-
-
-def _make_out_dir(args: argparse.Namespace) -> Path:
-    """Create ``--out`` and write the manifest of the run's inputs there."""
+def _make_out_dir(args: argparse.Namespace, fresh: bool = False) -> Path:
+    """Create ``--out``, new or empty if ``fresh``, with a run manifest."""
     out_dir = Path(args.out)
+    if fresh and out_dir.exists() and any(out_dir.iterdir()):
+        raise ConfigError(f"--out {out_dir} exists and is not empty; "
+                          "give a new or empty directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "manifest.json", {
         "subcommand": args.command,
@@ -105,7 +101,7 @@ def cmd_generate_data(args) -> int:
     cfg = load_config(args.config)
     if cfg.generator is None:
         raise ConfigError("config has no generator section")
-    seed = _scenario_with_overrides(cfg, args).base_seed
+    seed = _scenario(cfg, args).base_seed
     history = generate_synthetic_history(cfg.network, cfg.generator, seed)
     out_dir = _make_out_dir(args)
     written = write_history(history, out_dir)
@@ -120,10 +116,7 @@ def cmd_generate_data(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = load_config(args.config)
-    history = read_history(args.history_dir, cfg.network)
-    scenario = _scenario_with_overrides(cfg, args)
-    policy = _policy_from_args(cfg, args)
+    cfg, history, scenario, policy = _load_inputs(args)
     outcome = sim_network(cfg.network, policy, history, scenario,
                           replication_index=args.replication,
                           record_trace=bool(args.trace_out))
@@ -151,10 +144,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    cfg = load_config(args.config)
-    history = read_history(args.history_dir, cfg.network)
-    scenario = _scenario_with_overrides(cfg, args)
-    policy = _policy_from_args(cfg, args)
+    cfg, history, scenario, policy = _load_inputs(args)
     report = evaluate(policy, cfg.network, history, scenario)
     targets = cfg.network.targets
 
@@ -171,7 +161,7 @@ def cmd_evaluate(args) -> int:
               f"{report.mean_on_hand[fid]:>13.2f}")
 
     payload = {**asdict(report), "targets": targets,
-               "policy": _policy_payload(policy, cfg.network)}
+               "policy": policy_payload(policy, cfg.network)}
     if args.out:
         _write_json(_make_out_dir(args) / "evaluation.json", payload)
     else:
@@ -182,7 +172,7 @@ def cmd_evaluate(args) -> int:
 def _strategy_settings(cfg: LoadedConfig, args: argparse.Namespace,
                        strategy: str, seed: int | None = None) -> dict:
     """The strategy's defaults, config keys, flags and ``seed``, laid in
-    that order; a budget flag that is not positive raises naming it."""
+    that order; a budget flag that Budget rejects raises naming it."""
     flags = _given(args, {"max_evaluations": "max_evals",
                           "max_minutes": "max_minutes", "seed": "seed"})
     for key, flag in (("max_evaluations", "--max-evals"),
@@ -217,8 +207,8 @@ def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
                               cfg.space, cfg.initial_policy,
                               settings=settings, log=log)
 
-    _write_json(paths["policy"], _policy_payload(result.report.policy,
-                                                 cfg.network))
+    _write_json(paths["policy"], policy_payload(result.report.policy,
+                                                cfg.network))
     _write_json(paths["summary"], {
         "strategy": strategy,
         "choice": choice,
@@ -236,11 +226,9 @@ def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
 
 
 def cmd_optimize(args) -> int:
-    cfg = load_config(args.config)
-    history = read_history(args.history_dir, cfg.network)
-    scenario = _scenario_with_overrides(cfg, args)
+    cfg, history, scenario, _ = _load_inputs(args)
     settings = _strategy_settings(cfg, args, args.strategy)
-    out_dir = _make_out_dir(args)
+    out_dir = _make_out_dir(args, fresh=True)
 
     result, paths = _run_one_strategy(cfg, history, scenario, args.strategy,
                                       out_dir, settings, stem=args.strategy)
@@ -254,19 +242,17 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    cfg = load_config(args.config)
-    history = read_history(args.history_dir, cfg.network)
+    cfg, history, scenario, _ = _load_inputs(args)
     strategies = [args.strategy] if args.strategy else list(STRATEGIES)
-    choices = (["backorder", "lost-sales"] if args.choice == "both"
-               else [args.choice or cfg.scenario.demand_choice.value])
-    scenarios = [_scenario_with_overrides(cfg, args, c) for c in choices]
-    base_seed = scenarios[0].base_seed  # the same for every choice
-    settings = {s: _strategy_settings(cfg, args, s,
-                                      derive_strategy_seed(base_seed, s))
-                for s in strategies}
-    out_dir = _make_out_dir(args)
+    settings = {s: _strategy_settings(
+        cfg, args, s, derive_strategy_seed(scenario.base_seed, s))
+        for s in strategies}
+    out_dir = _make_out_dir(args, fresh=True)
 
-    for choice, scenario in zip(choices, scenarios):
+    for demand in (DemandChoice if args.choice == "both"
+                   else [scenario.demand_choice]):
+        scenario = replace(scenario, demand_choice=demand)
+        choice = demand.value
         results = [_run_one_strategy(cfg, history, scenario, strategy,
                                      out_dir, merged,
                                      stem=f"{strategy}_{choice}")[0]
@@ -291,64 +277,55 @@ def build_parser() -> argparse.ArgumentParser:
         description="Multi-echelon inventory simulation-optimization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, history=True):
-        p.add_argument("--config", required=True,
-                       help="JSON configuration file")
-        if history:
-            p.add_argument("--history-dir", required=True,
-                           help="directory of per-facility history CSVs")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the configured seed")
+    def group(*parents):  # flags that several subcommands share
+        return argparse.ArgumentParser(add_help=False, parents=parents)
 
-    p = sub.add_parser("generate-data",
-                       help="write synthetic history CSVs")
-    add_common(p, history=False)
-    p.add_argument("--out", required=True, help="output directory")
-    p.set_defaults(func=cmd_generate_data)
+    base = group()
+    base.add_argument("--config", required=True,
+                      help="JSON configuration file")
+    base.add_argument("--seed", type=int, help="override the configured seed")
+    run = group(base)
+    run.add_argument("--history-dir", required=True,
+                     help="directory of per-facility history CSVs")
+    run.add_argument("--horizon", type=int)
+    policy = group()
+    policy.add_argument("--policy", help="policy JSON file (default: config "
+                        "initial_policy)")
+    choice = group()
+    choice.add_argument("--choice", choices=["backorder", "lost-sales"])
+    replications = group()
+    replications.add_argument("--replications", type=int)
+    budget = group()
+    budget.add_argument("--max-evals", type=int)
+    budget.add_argument("--max-minutes", type=float)
 
-    p = sub.add_parser("simulate", help="run one simulation replication")
-    add_common(p)
-    p.add_argument("--policy", help="policy JSON file (default: config "
-                   "initial_policy)")
-    p.add_argument("--choice", choices=["backorder", "lost-sales"])
-    p.add_argument("--horizon", type=int)
+    def command(name, func, summary, *parents):
+        p = sub.add_parser(name, help=summary, parents=parents)
+        p.set_defaults(func=func)
+        return p
+
+    command("generate-data", cmd_generate_data,
+            "write synthetic history CSVs", base).add_argument(
+        "--out", required=True, help="output directory")
+    p = command("simulate", cmd_simulate, "run one simulation replication",
+                run, policy, choice)
     p.add_argument("--replication", type=int, default=1)
     p.add_argument("--trace-out", help="write per-day trace CSV here")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("evaluate",
-                       help="evaluate the penalized objective for a policy")
-    add_common(p)
-    p.add_argument("--policy")
-    p.add_argument("--choice", choices=["backorder", "lost-sales"])
-    p.add_argument("--replications", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--out", help="directory for evaluation.json")
-    p.set_defaults(func=cmd_evaluate)
-
-    p = sub.add_parser("optimize", help="run one optimization strategy")
-    add_common(p)
+    command("evaluate", cmd_evaluate,
+            "evaluate the penalized objective for a policy",
+            run, policy, choice, replications).add_argument(
+        "--out", help="directory for evaluation.json")
+    p = command("optimize", cmd_optimize, "run one optimization strategy",
+                run, choice, replications, budget)
     p.add_argument("--strategy", required=True, choices=list(STRATEGIES))
     p.add_argument("--out", required=True)
-    p.add_argument("--choice", choices=["backorder", "lost-sales"])
-    p.add_argument("--replications", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--max-evals", type=int, dest="max_evals")
-    p.add_argument("--max-minutes", type=float, dest="max_minutes")
-    p.set_defaults(func=cmd_optimize)
-
-    p = sub.add_parser("compare",
-                       help="run all strategies and emit a comparison table")
-    add_common(p)
+    p = command("compare", cmd_compare,
+                "run all strategies and emit a comparison table",
+                run, replications, budget)
     p.add_argument("--out", required=True)
     p.add_argument("--strategy", choices=list(STRATEGIES),
                    help="limit the comparison to one strategy")
     p.add_argument("--choice", choices=["backorder", "lost-sales", "both"])
-    p.add_argument("--replications", type=int)
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--max-evals", type=int, dest="max_evals")
-    p.add_argument("--max-minutes", type=float, dest="max_minutes")
-    p.set_defaults(func=cmd_compare)
     return parser
 
 
@@ -361,7 +338,8 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(str(exc))
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, BudgetExhaustedError,
+            SingularKernelError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 
 

@@ -71,6 +71,8 @@ def _require(mapping: dict, key: str, context: str):
 def _reject_unknown(raw: dict, known, context: str,
                     what: str = "keys") -> None:
     """A key outside ``known`` raises: a default would otherwise hide it."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{context}: expected an object, got {raw!r}")
     unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ConfigError(f"{context}: unknown {what} {unknown}; known "
@@ -144,68 +146,76 @@ def _load_scenario(raw: dict) -> ScenarioConfig:
         raise ConfigError(f"scenario: {exc}") from None
 
 
+def _by_facility(raw, ids, context: str, fields: dict, build=dict) -> dict:
+    """``{fid: build(**entry)}`` for each id of a per-facility map.
+
+    ``raw`` must give exactly ``ids``, each entry exactly the keys of
+    ``fields`` (key -> reader taking the value and its context).
+    """
+    _reject_unknown(raw, ids, context, "facilities")
+    built = {}
+    for fid in ids:
+        where = f"{context}[{fid}]"
+        entry = _require(raw, fid, context)
+        _reject_unknown(entry, fields, where)
+        values = {key: read(_require(entry, key, where), f"{where}.{key}")
+                  for key, read in fields.items()}
+        try:
+            built[fid] = build(**values)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
+    return built
+
+
+POLICY_KEYS = ("reorder_point", "base_stock")
+
+
 def _load_policy(raw: dict, network: NetworkSpec,
                  context: str) -> PolicyVector:
-    _reject_unknown(raw, network.ids, context, "facilities")
-    rop, base = {}, {}
-    for fid in network.ids:
-        entry = _require(raw, fid, context)
-        where = f"{context}[{fid}]"
-        rop[fid] = _integer(_require(entry, "reorder_point", where),
-                            f"{where}.reorder_point")
-        base[fid] = _integer(_require(entry, "base_stock", where),
-                             f"{where}.base_stock")
+    entries = _by_facility(raw, network.ids, context,
+                           dict.fromkeys(POLICY_KEYS, _integer))
     try:
-        return PolicyVector(rop, base)
+        return PolicyVector(*({fid: entry[key] for fid, entry
+                               in entries.items()} for key in POLICY_KEYS))
     except ValueError as exc:
         raise ConfigError(f"{context}: {exc}") from None
 
 
-def _load_space(raw: dict, network: NetworkSpec) -> SearchSpace:
-    def pair(fid, name):
-        context = f"bounds[{fid}].{name}"
-        value = _require(_require(raw, fid, "bounds"), name, f"bounds[{fid}]")
-        if isinstance(value, list) and len(value) == 2:
-            lo, hi = (_integer(v, context) for v in value)
-            if 0 <= lo < hi:
-                return lo, hi
-        raise ConfigError(f"{context}: need [lo, hi], integers with "
-                          "0 <= lo < hi")
+def _bound(value, context: str) -> tuple[int, int]:
+    if isinstance(value, list) and len(value) == 2:
+        lo, hi = (_integer(v, context) for v in value)
+        if 0 <= lo < hi:
+            return lo, hi
+    raise ConfigError(f"{context}: need [lo, hi], integers with "
+                      "0 <= lo < hi")
 
-    _reject_unknown(raw, network.ids, "bounds", "facilities")
-    rop = [pair(fid, "reorder_point") for fid in network.ids]
-    base = [pair(fid, "base_stock") for fid in network.ids]
-    for fid, (_, r_hi), (_, b_hi) in zip(network.ids, rop, base):
-        if b_hi < r_hi:
-            raise ConfigError(
-                f"bounds[{fid}]: base_stock upper bound {b_hi} below "
-                f"reorder_point upper bound {r_hi}; the B >= R repair "
-                "could leave the box")
+
+def _box(reorder_point, base_stock):
+    if base_stock[1] < reorder_point[1]:
+        raise ValueError(f"base_stock upper bound {base_stock[1]} below "
+                         f"reorder_point upper bound {reorder_point[1]}; "
+                         "the B >= R repair could leave the box")
+    return reorder_point, base_stock
+
+
+def _load_space(raw: dict, network: NetworkSpec) -> SearchSpace:
+    boxes = _by_facility(raw, network.ids, "bounds",
+                         dict.fromkeys(POLICY_KEYS, _bound), _box).values()
+    rop, base = zip(*boxes)
     return SearchSpace(*np.array(rop + base, dtype=float).T)
 
 
 def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
-    def series(entry, context):
-        mean, spread = (_number(_require(entry, key, context),
-                                f"{context}.{key}")
-                        for key in ("mean", "spread"))
-        try:
-            return SeriesParams(mean, spread)
-        except ValueError as exc:
-            raise ConfigError(f"{context}: {exc}") from None
-
-    def by_facility(key, ids):
-        given = _require(raw, key, "generator")
-        _reject_unknown(given, ids, f"generator.{key}", "facilities")
-        return {fid: series(_require(given, fid, f"generator.{key}"),
-                            f"generator.{key}[{fid}]") for fid in ids}
-
     _reject_unknown(raw, ("demand", "lead_delta", "length"), "generator")
-    demand = by_facility("demand", network.customer_ids)
-    lead = by_facility("lead_delta", network.ids)
+    series = {key: _by_facility(_require(raw, key, "generator"), ids,
+                                f"generator.{key}",
+                                dict.fromkeys(("mean", "spread"), _number),
+                                SeriesParams)
+              for key, ids in (("demand", network.customer_ids),
+                               ("lead_delta", network.ids))}
     length = _integer(raw.get("length", 360), "generator.length")
     try:
-        return HistoryGenParams(demand=demand, lead_delta=lead, length=length)
+        return HistoryGenParams(**series, length=length)
     except ValueError as exc:
         raise ConfigError(f"generator: {exc}") from None
 
@@ -275,6 +285,12 @@ def load_config(path: str | Path) -> LoadedConfig:
 
 def load_policy_file(path: str | Path, network: NetworkSpec) -> PolicyVector:
     return _load_policy(_read_json(path, "policy"), network, "policy")
+
+
+def policy_payload(policy: PolicyVector, network: NetworkSpec) -> dict:
+    """The JSON shape ``load_policy_file`` reads back."""
+    return {fid: {key: getattr(policy, key)[fid] for key in POLICY_KEYS}
+            for fid in network.ids}
 
 
 def _history_file(history_dir: str | Path, series: str, fid: str) -> Path:

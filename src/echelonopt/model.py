@@ -216,6 +216,8 @@ class ScenarioConfig:
             raise ValueError("horizon must be >= 1")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
+        if self.base_seed < 0:
+            raise ValueError("base_seed must be >= 0")
         if self.penalty_rho < 0:
             raise ValueError("penalty_rho must be >= 0")
         if not (0.0 <= self.initial_inventory_fraction <= 1.0):

@@ -87,6 +87,8 @@ class Budget:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
 
 # The least value of each search setting, whichever search takes it.

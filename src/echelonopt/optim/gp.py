@@ -125,12 +125,12 @@ class GaussianProcess:
                 self._chol = cho_factor(kj, lower=True)
                 break
             except np.linalg.LinAlgError:
+                if jitter * 100.0 > MAX_JITTER:
+                    raise SingularKernelError(
+                        f"kernel not positive definite at jitter {jitter:g}")
                 jitter *= 100.0
                 logger.debug("gp kernel on %d points not positive "
                              "definite; raising jitter to %g", len(k), jitter)
-                if jitter > MAX_JITTER:
-                    raise SingularKernelError(
-                        f"kernel not positive definite at jitter {jitter:g}")
         self.jitter_ = jitter * scale
         self._alpha = cho_solve(self._chol, self._yc)
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 import shutil
 from pathlib import Path
 
@@ -255,6 +256,101 @@ class TestZeroOverrides:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBadFlagValues:
+    """A flag value the run would choke on fails before any file, named."""
+
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--seed", "-5", "base_seed must be >= 0"),
+        ("--max-minutes", "nan", "--max-minutes: max_minutes must be finite"),
+        ("--max-minutes", "inf", "--max-minutes: max_minutes must be finite"),
+    ], ids=["negative-seed", "nan-minutes", "inf-minutes"])
+    def test_fails_before_any_file(self, config_path, history_dir, tmp_path,
+                                   command, flag, value, named, capsys):
+        out = tmp_path / "bad"
+        strategy = ["--strategy", "rbf"] if command == "optimize" else []
+        code = main([command, "--config", config_path,
+                     "--history-dir", history_dir, "--out", str(out),
+                     *strategy, "--replications", "1", "--horizon", "10",
+                     "--max-evals", "2", flag, value])
+        assert code == 1
+        assert named in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_seed_fails_in_generate_data(self, config_path,
+                                                  tmp_path, capsys):
+        out = tmp_path / "h"
+        assert main(["generate-data", "--config", config_path,
+                     "--out", str(out), "--seed", "-1"]) == 1
+        assert "base_seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSearchErrors:
+    """A search that fails on its own ends in one error line, exit 1."""
+
+    def optimize(self, config_path, history_dir, tmp_path, *flags):
+        return main(["optimize", "--config", config_path,
+                     "--history-dir", history_dir, "--out",
+                     str(tmp_path / "run"), "--replications", "1",
+                     "--horizon", "10", *flags])
+
+    def test_budget_exhausted_before_the_first_evaluation(
+            self, config_path, history_dir, tmp_path, capsys):
+        code = self.optimize(config_path, history_dir, tmp_path,
+                             "--strategy", "rbf", "--max-minutes", "1e-12")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: BudgetExhaustedError: budget exhausted "
+                       "before the first evaluation"]
+
+    def test_singular_kernel(self, config_path, history_dir, tmp_path,
+                             capsys, monkeypatch):
+        import numpy as np
+        from echelonopt.optim import gp
+
+        def never(*args, **kwargs):
+            raise np.linalg.LinAlgError("not positive definite")
+        monkeypatch.setattr(gp, "cho_factor", never)
+        code = self.optimize(config_path, history_dir, tmp_path,
+                             "--strategy", "gp", "--max-evals", "12")
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: SingularKernelError: kernel not "
+                                 "positive definite")
+
+
+class TestOutDir:
+    """One run per output directory."""
+
+    def run(self, command, config_path, history_dir, out):
+        both = ["--choice", "both"] if command == "compare" else []
+        return main([command, "--config", config_path,
+                     "--history-dir", history_dir, "--out", str(out),
+                     "--strategy", "rbf", *both, "--max-evals", "3",
+                     "--replications", "1", "--horizon", "10"])
+
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    def test_second_run_into_the_same_out_fails(self, config_path,
+                                                history_dir, tmp_path,
+                                                command, capsys):
+        out = tmp_path / "run"
+        assert self.run(command, config_path, history_dir, out) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert self.run(command, config_path, history_dir, out) == 1
+        err = capsys.readouterr().err
+        assert f"--out {out} exists and is not empty" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_empty_out_is_used(self, config_path, history_dir, tmp_path):
+        out = tmp_path / "empty"
+        out.mkdir()
+        assert self.run("optimize", config_path, history_dir, out) == 0
+        assert (out / "summary_rbf.json").exists()
 
 
 class TestCompare:
@@ -573,6 +669,51 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=rf"unknown \w+ \['{key}'\]"):
             load_config(self.write(tmp_path, raw))
 
+    @pytest.mark.parametrize("path,entry,key", [
+        pytest.param(("initial_policy", "1"), "initial_policy[1]",
+                     "reorder_pont", id="initial_policy"),
+        pytest.param(("bounds", "1"), "bounds[1]", "base_stok", id="bounds"),
+        pytest.param(("generator", "demand", "1"), "generator.demand[1]",
+                     "sprad", id="generator.demand"),
+        pytest.param(("generator", "lead_delta", "3"),
+                     "generator.lead_delta[3]", "meen",
+                     id="generator.lead_delta"),
+    ])
+    def test_unknown_entry_key_rejected(self, tmp_path, path, entry, key):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        node = raw
+        for step in path:
+            node = node[step]
+        node[key] = 7
+        with pytest.raises(ConfigError, match=rf"^{re.escape(entry)}: "
+                           rf"unknown keys \['{key}'\]"):
+            load_config(self.write(tmp_path, raw))
+
+    def test_unknown_policy_file_key_rejected(self, tmp_path):
+        from echelonopt.config import ConfigError, load_config, \
+            load_policy_file
+        raw = self.base()["initial_policy"]
+        raw["2"]["base_stok"] = 7
+        policy = tmp_path / "policy.json"
+        policy.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError, match=r"^policy\[2\]: unknown keys "
+                           r"\['base_stok'\]"):
+            load_policy_file(policy, load_config(PRESET).network)
+
+    @pytest.mark.parametrize("path", [
+        ("initial_policy", "1"), ("bounds",), ("generator", "lead_delta"),
+        ("optimizers", "gp")], ids=lambda path: ".".join(path))
+    def test_entry_that_is_not_an_object_rejected(self, tmp_path, path):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        node = raw
+        for step in path[:-1]:
+            node = node[step]
+        node[path[-1]] = 5
+        with pytest.raises(ConfigError, match="expected an object, got 5"):
+            load_config(self.write(tmp_path, raw))
+
     def test_null_bound_exits_one(self, tmp_path):
         raw = self.base()
         raw["bounds"]["1"]["reorder_point"] = [0, None]
@@ -601,6 +742,9 @@ class TestConfigValidation:
         pytest.param("optimize", lambda raw: raw["scenario"].update(
             penalty_rho=-1), None,
             "scenario: penalty_rho must be >= 0", id="penalty-rho"),
+        pytest.param("optimize", lambda raw: raw["scenario"].update(
+            base_seed=-1), None,
+            "scenario: base_seed must be >= 0", id="negative-seed"),
         pytest.param("optimize", lambda raw: raw["initial_policy"].update(
             {"1": {"reorder_point": 10, "base_stock": 5}}), None,
             "need base_stock >= reorder_point", id="base-below-rop"),

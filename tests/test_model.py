@@ -111,9 +111,10 @@ class TestScenarioConfig:
         {"replications": 0},
         {"penalty_rho": -1.0},
         {"initial_inventory_fraction": 1.5},
+        {"base_seed": -5},
     ])
     def test_bad_values_rejected(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             ScenarioConfig(**kwargs)
 
 

@@ -13,6 +13,7 @@ from echelonopt.optim import (
     NonFiniteObjectiveError,
     SearchSpace,
     SingularInterpolationError,
+    SingularKernelError,
     minimize,
 )
 from echelonopt.optim import gp, nelder_mead, rbf
@@ -58,6 +59,12 @@ class TestBudget:
         with pytest.raises(ValueError,
                            match="max_minutes must be positive, got 0"):
             Budget(max_minutes=0)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_minutes_rejected(self, value):
+        with pytest.raises(ValueError,
+                           match=f"max_minutes must be finite, got {value}"):
+            Budget(max_minutes=value)
 
 
 STRATEGY_CASES = [
@@ -260,6 +267,45 @@ class TestGaussianProcess:
                        strategy="gp", cycles=2, iterations_per_cycle=50,
                        kappa=2.0, n_random_starts=8, seed=3)
         assert run.best_value < 1e-2
+
+    @pytest.mark.parametrize("failures", [2, None])
+    def test_failed_factorization_raises_the_jitter(self, monkeypatch,
+                                                    caplog, failures):
+        """Each failed factorization multiplies the jitter by 100 and logs
+        it; past MAX_JITTER (failures=None: every attempt fails) the fit
+        raises SingularKernelError."""
+        attempts = []
+        factor = gp.cho_factor
+
+        def flaky(matrix, lower):
+            attempts.append(matrix.copy())
+            if failures is None or len(attempts) <= failures:
+                raise np.linalg.LinAlgError("not positive definite")
+            return factor(matrix, lower=lower)
+        monkeypatch.setattr(gp, "cho_factor", flaky)
+        caplog.set_level("DEBUG", logger=gp.__name__)
+        space = SearchSpace(np.zeros(2), np.full(2, 1.0))
+        x = space.latin_hypercube(np.random.default_rng(1), 8)
+        y = (x ** 2).sum(axis=1)
+        model = GaussianProcess(space)
+        if failures is None:
+            with pytest.raises(SingularKernelError,
+                               match=r"positive definite at jitter 0\.0001$"):
+                model.fit(x, y)
+        else:
+            model.fit(x, y)
+        jitters = [1e-10, 1e-8, 1e-6, 1e-4][:len(attempts)]
+        assert len(attempts) == (4 if failures is None else failures + 1)
+        scale = model.amplitude ** 2
+        for jitter, matrix in zip(jitters[1:], attempts[1:]):
+            added = matrix - attempts[0]  # only the diagonal grows
+            assert np.array_equal(added, np.diag(np.diag(added)))
+            assert np.allclose(np.diag(added), (jitter - 1e-10) * scale,
+                               rtol=1e-6, atol=0.0)
+        assert [r.getMessage().rsplit(" ", 1)[1] for r in caplog.records] \
+            == [f"{j:g}" for j in jitters[1:]]
+        if failures is not None:
+            assert model.jitter_ == pytest.approx(jitters[-1] * scale)
 
     def test_no_fit_after_the_last_evaluation(self, monkeypatch):
         fits = []
