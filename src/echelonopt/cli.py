@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -78,12 +79,9 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _make_out_dir(args: argparse.Namespace, fresh: bool = False) -> Path:
-    """Create ``--out``, new or empty if ``fresh``, with a run manifest."""
+def _make_out_dir(args: argparse.Namespace) -> Path:
+    """Create ``--out`` with a run manifest."""
     out_dir = Path(args.out)
-    if fresh and out_dir.exists() and any(out_dir.iterdir()):
-        raise ConfigError(f"--out {out_dir} exists and is not empty; "
-                          "give a new or empty directory")
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_json(out_dir / "manifest.json", {
         "subcommand": args.command,
@@ -95,6 +93,26 @@ def _make_out_dir(args: argparse.Namespace, fresh: bool = False) -> Path:
         "timestamp": datetime.now(timezone.utc).isoformat(),
     })
     return out_dir
+
+
+@contextmanager
+def _fresh_out_dir(args: argparse.Namespace):
+    """``--out``, new or empty, with a run manifest.  A run that raises
+    removes the files it wrote there and the directories it made."""
+    out_dir = Path(args.out)
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    if not made and any(out_dir.iterdir()):
+        raise ConfigError(f"--out {out_dir} exists and is not empty; "
+                          "give a new or empty directory")
+    _make_out_dir(args)
+    try:
+        yield out_dir
+    except Exception:
+        for path in out_dir.iterdir():  # it was empty: every file is ours
+            path.unlink()
+        for directory in made:  # innermost first
+            directory.rmdir()
+        raise
 
 
 def cmd_generate_data(args) -> int:
@@ -228,10 +246,10 @@ def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
 def cmd_optimize(args) -> int:
     cfg, history, scenario, _ = _load_inputs(args)
     settings = _strategy_settings(cfg, args, args.strategy)
-    out_dir = _make_out_dir(args, fresh=True)
-
-    result, paths = _run_one_strategy(cfg, history, scenario, args.strategy,
-                                      out_dir, settings, stem=args.strategy)
+    with _fresh_out_dir(args) as out_dir:
+        result, paths = _run_one_strategy(cfg, history, scenario,
+                                          args.strategy, out_dir, settings,
+                                          stem=args.strategy)
     print(f"strategy {args.strategy}: best Z {result.run.best_value:.2f} "
           f"({result.reduction_pct:.1f}% reduction from the initial guess), "
           f"{result.run.evaluations_used} evaluations, "
@@ -247,27 +265,26 @@ def cmd_compare(args) -> int:
     settings = {s: _strategy_settings(
         cfg, args, s, derive_strategy_seed(scenario.base_seed, s))
         for s in strategies}
-    out_dir = _make_out_dir(args, fresh=True)
+    with _fresh_out_dir(args) as out_dir:
+        for demand in (DemandChoice if args.choice == "both"
+                       else [scenario.demand_choice]):
+            scenario = replace(scenario, demand_choice=demand)
+            choice = demand.value
+            results = [_run_one_strategy(cfg, history, scenario, strategy,
+                                         out_dir, merged,
+                                         stem=f"{strategy}_{choice}")[0]
+                       for strategy, merged in settings.items()]
 
-    for demand in (DemandChoice if args.choice == "both"
-                   else [scenario.demand_choice]):
-        scenario = replace(scenario, demand_choice=demand)
-        choice = demand.value
-        results = [_run_one_strategy(cfg, history, scenario, strategy,
-                                     out_dir, merged,
-                                     stem=f"{strategy}_{choice}")[0]
-                   for strategy, merged in settings.items()]
-
-        rows = comparison_table(results, cfg.network)
-        csv_path = out_dir / f"comparison_{choice}.csv"
-        with open(csv_path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        text = format_table(rows)
-        (out_dir / f"comparison_{choice}.txt").write_text(text + "\n")
-        print(f"\n=== demand choice: {choice} "
-              f"(initial Z {results[0].initial_z:.2f}) ===")
-        print(text)
-        print(f"table written to {csv_path}")
+            rows = comparison_table(results, cfg.network)
+            csv_path = out_dir / f"comparison_{choice}.csv"
+            with open(csv_path, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+            text = format_table(rows)
+            (out_dir / f"comparison_{choice}.txt").write_text(text + "\n")
+            print(f"\n=== demand choice: {choice} "
+                  f"(initial Z {results[0].initial_z:.2f}) ===")
+            print(text)
+            print(f"table written to {csv_path}")
     return 0
 
 

@@ -98,8 +98,15 @@ def _number(value, context: str) -> float:
 
 def _load_network(raw: dict) -> NetworkSpec:
     _reject_unknown(raw, ("facilities",), "network")
+    entries = _require(raw, "facilities", "network")
+    if not isinstance(entries, list):
+        raise ConfigError(f"network.facilities: expected a list, "
+                          f"got {entries!r}")
     facilities = []
-    for entry in _require(raw, "facilities", "network"):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"network.facilities[{i}]: expected an "
+                              f"object, got {entry!r}")
         fid = str(_require(entry, "id", "facility"))
         _reject_unknown(entry, ("id", "upstream", "base_lead_time",
                                 "target_beta", "serves_customers"),

@@ -56,18 +56,21 @@ def aggregate_outcomes(outcomes: Sequence[SimulationOutcome],
         for fid in fids:
             total_on_hand += outcome.avg_on_hand[fid]
             total_violation += max(0.0, targets[fid] - outcome.beta[fid])
-    betas = {fid: np.array([o.beta[fid] for o in outcomes]) for fid in fids}
-    mean_beta = {fid: float(betas[fid].mean()) for fid in fids}
+    # One row per facility, in replication order: each row sums as one
+    # contiguous series, pairwise from 8 replications on; an array with a
+    # row per replication, reduced over axis 0, would add in another order.
+    betas = np.array([[o.beta[fid] for o in outcomes] for fid in fids])
+    on_hand = np.array([[o.avg_on_hand[fid] for o in outcomes]
+                        for fid in fids])
+    mean_beta = dict(zip(fids, betas.mean(axis=1).tolist()))
     return ObjectiveReport(
         z=total_on_hand / n + rho * total_violation / n,
         mean_total_on_hand=total_on_hand / n,
         mean_violation=total_violation / n,
         replications=n,
         mean_beta=mean_beta,
-        std_beta={fid: float(betas[fid].std()) for fid in fids},
-        mean_on_hand={fid: float(np.mean([o.avg_on_hand[fid]
-                                          for o in outcomes]))
-                      for fid in fids},
+        std_beta=dict(zip(fids, betas.std(axis=1).tolist())),
+        mean_on_hand=dict(zip(fids, on_hand.mean(axis=1).tolist())),
         policy=policy,
         feasible=all(mean_beta[fid] >= targets[fid] for fid in fids),
     )

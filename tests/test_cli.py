@@ -322,6 +322,27 @@ class TestSearchErrors:
         assert err[0].startswith("error: SingularKernelError: kernel not "
                                  "positive definite")
 
+    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("out_path,existing", [
+        ("run", False), ("new/parents/run", False), ("run", True)],
+        ids=["new-out", "nested-out", "empty-out"])
+    def test_failed_run_leaves_no_partial_output(self, config_path,
+                                                 history_dir, tmp_path,
+                                                 command, out_path, existing,
+                                                 capsys):
+        out = tmp_path / out_path
+        if existing:
+            out.mkdir()
+        argv = [command, "--config", config_path, "--history-dir",
+                history_dir, "--out", str(out), "--strategy", "rbf",
+                "--replications", "1", "--horizon", "10"]
+        assert main([*argv, "--max-minutes", "1e-12"]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: BudgetExhaustedError")
+        assert sorted(tmp_path.rglob("*")) == ([out] if existing else [])
+        assert main([*argv, "--max-evals", "3"]) == 0
+        assert (out / "manifest.json").exists()
+
 
 class TestOutDir:
     """One run per output directory."""
@@ -732,6 +753,18 @@ class TestConfigValidation:
     BAD_INPUTS = [
         pytest.param("generate-data", lambda raw: raw.pop("generator"), None,
                      "config has no generator section", id="no-generator"),
+        pytest.param("generate-data", lambda raw: raw["network"][
+            "facilities"].__setitem__(0, 5), None,
+            "network.facilities[0]: expected an object, got 5",
+            id="facility-not-an-object"),
+        pytest.param("generate-data", lambda raw: raw["network"].update(
+            facilities=5), None,
+            "network.facilities: expected a list, got 5",
+            id="facilities-not-a-list"),
+        pytest.param("generate-data", lambda raw: raw["network"].update(
+            facilities={"1": {"id": "1"}}), None,
+            "network.facilities: expected a list, got {",
+            id="facilities-object"),
         pytest.param("optimize", lambda raw: raw["network"]["facilities"][0]
                      .pop("upstream"), None,
                      "facility: missing required key 'upstream'",
@@ -786,8 +819,8 @@ class TestConfigValidation:
                      "--max-evals", "2", *TINY_OVERRIDES]
         assert main(argv) == 1
         errors = capsys.readouterr().err.splitlines()
-        assert any(line.startswith("error:") and fragment in line
-                   for line in errors), errors
+        assert len(errors) == 1, errors
+        assert errors[0].startswith("error:") and fragment in errors[0]
         assert not out.exists()
 
     def test_invalid_network_rejected(self, tmp_path):

@@ -10,7 +10,11 @@ from echelonopt.model import (
     PolicyVector,
     ScenarioConfig,
 )
-from echelonopt.objective import aggregate_outcomes, evaluate
+from echelonopt.objective import (
+    ObjectiveReport,
+    aggregate_outcomes,
+    evaluate,
+)
 
 
 def outcome(avg_on_hand, beta):
@@ -70,6 +74,51 @@ class TestAggregation:
                                  policy=PolicyVector({"a": 0}, {"a": 1})).z
               for b in betas]
         assert all(z2 >= z1 for z1, z2 in zip(zs, zs[1:]))
+
+
+def loop_aggregate(outcomes, targets, rho, policy):
+    """aggregate_outcomes as it was: one 1-D array per facility."""
+    n = len(outcomes)
+    fids = list(outcomes[0].avg_on_hand)
+    total_on_hand = 0.0
+    total_violation = 0.0
+    for o in outcomes:
+        for fid in fids:
+            total_on_hand += o.avg_on_hand[fid]
+            total_violation += max(0.0, targets[fid] - o.beta[fid])
+    betas = {fid: np.array([o.beta[fid] for o in outcomes]) for fid in fids}
+    mean_beta = {fid: float(betas[fid].mean()) for fid in fids}
+    return ObjectiveReport(
+        z=total_on_hand / n + rho * total_violation / n,
+        mean_total_on_hand=total_on_hand / n,
+        mean_violation=total_violation / n,
+        replications=n,
+        mean_beta=mean_beta,
+        std_beta={fid: float(betas[fid].std()) for fid in fids},
+        mean_on_hand={fid: float(np.mean([o.avg_on_hand[fid]
+                                          for o in outcomes]))
+                      for fid in fids},
+        policy=policy,
+        feasible=all(mean_beta[fid] >= targets[fid] for fid in fids))
+
+
+@pytest.mark.parametrize("replications", [1, 2, 7, 8, 9, 20, 33])
+def test_aggregation_equals_the_per_facility_loop(replications):
+    # 8 or more replications sum pairwise: only a row-per-facility layout
+    # reduces in the order the per-facility arrays did
+    rng = np.random.default_rng(replications)
+    for facilities in (1, 2, 5, 16):
+        fids = [str(i) for i in range(facilities)]
+        targets = dict(zip(fids, rng.uniform(0.8, 1.0, facilities)))
+        policy = PolicyVector(dict.fromkeys(fids, 0), dict.fromkeys(fids, 1))
+        for _ in range(20):
+            outcomes = [outcome(dict(zip(fids, rng.uniform(0, 500,
+                                                           facilities))),
+                                dict(zip(fids, rng.uniform(0.5, 1.0,
+                                                           facilities))))
+                        for _ in range(replications)]
+            got = aggregate_outcomes(outcomes, targets, 1e6, policy)
+            assert got == loop_aggregate(outcomes, targets, 1e6, policy)
 
 
 def small_scenario():

@@ -401,3 +401,178 @@ class TestCubicRbf:
         run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=80),
                        strategy="rbf", seed=6)
         assert run.best_value < 1e-3
+
+
+# The wrapper-path formulas GaussianProcess used before it called LAPACK
+# directly: SciPy's cholesky/cho_solve and one reduction per axis.  The
+# fast path must reproduce them bit for bit.
+def oracle_nll_and_grad(model, theta):
+    from scipy.linalg import cho_solve, cholesky
+    ell2 = np.exp(2.0 * theta[:-1])
+    amp2 = np.exp(2.0 * theta[-1])
+    scaled = model._sq1d / ell2
+    k = amp2 * np.exp(-0.5 * scaled.sum(axis=2))
+    kj = k.copy()
+    kj[np.diag_indices_from(kj)] += gp.BASE_JITTER * amp2 + 1e-12
+    n = len(kj)
+    try:
+        chol = cholesky(kj, lower=True)
+    except np.linalg.LinAlgError:
+        return 1e25, np.zeros_like(theta)
+    alpha = cho_solve((chol, True), model._yc)
+    nll = (0.5 * float(model._yc @ alpha)
+           + float(np.log(np.diag(chol)).sum())
+           + 0.5 * n * np.log(2 * np.pi))
+    w = cho_solve((chol, True), np.eye(n)) - np.outer(alpha, alpha)
+    grad = np.empty_like(theta)
+    wk = w * k
+    for j in range(len(theta) - 1):
+        grad[j] = 0.5 * float((wk * scaled[:, :, j]).sum())
+    grad[-1] = float(wk.sum()) + gp.BASE_JITTER * amp2 * float(np.trace(w))
+    return nll, grad
+
+
+def oracle_predict(model, x):
+    from scipy.linalg import cho_solve
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    k_star = model._kernel(x, model.x_train)
+    mu = k_star @ model._alpha
+    v = cho_solve(model._chol, k_star.T)
+    var = np.maximum(model.amplitude ** 2 - np.sum(k_star * v.T, axis=1),
+                     0.0)
+    return (mu * model._y_scale + model._y_mean,
+            np.sqrt(var) * model._y_scale)
+
+
+def oracle_lcb_and_grad(model, x, kappa):
+    from scipy.linalg import cho_solve
+    x = np.asarray(x, dtype=float)
+    ell2 = model.length_scales ** 2
+    diff = model.x_train - x[None, :]
+    k_star = model.amplitude ** 2 * np.exp(
+        -0.5 * np.sum(diff * diff / ell2, axis=1))
+    dk = (k_star[:, None] * diff) / ell2
+    mu = float(k_star @ model._alpha)
+    dmu = model._alpha @ dk
+    v = cho_solve(model._chol, k_star)
+    var = max(model.amplitude ** 2 - float(k_star @ v), 0.0)
+    sigma = np.sqrt(var)
+    if sigma > 1e-12 * model.amplitude:
+        dsigma = -(v @ dk) / sigma
+    else:
+        sigma, dsigma = 0.0, np.zeros_like(x)
+    value = (mu - kappa * sigma) * model._y_scale + model._y_mean
+    return float(value), (dmu - kappa * dsigma) * model._y_scale
+
+
+class OracleGaussianProcess(GaussianProcess):
+    _nll_and_grad = oracle_nll_and_grad
+    predict = oracle_predict
+    lcb_and_grad = oracle_lcb_and_grad
+
+
+def random_gp_data(rng, n, d):
+    """A box, n points in it with one duplicated row, and targets."""
+    space = SearchSpace(np.zeros(d), rng.uniform(1.0, 100.0, d))
+    x = space.sample(rng, n)
+    if n > 2:
+        x[-1] = x[0]  # duplicates are what push the kernel to singular
+    y = rng.normal(size=n) * 100.0 + (x ** 2).sum(axis=1)
+    return space, x, y
+
+
+def random_theta(rng, space):
+    return np.concatenate([rng.uniform(np.log(1e-3 * space.span),
+                                       np.log(10.0 * space.span)),
+                           [rng.uniform(np.log(1e-2), np.log(1e2))]])
+
+
+class TestGaussianProcessOracle:
+    """The LAPACK fast path against the wrapper-path formulas above."""
+
+    SHAPES = [(2, 1), (3, 32), (5, 2), (12, 7), (20, 10), (27, 3),
+              (30, 32), (33, 16), (40, 5), (40, 32)]
+
+    @pytest.mark.parametrize("n,d", SHAPES)
+    def test_likelihood_prediction_and_acquisition_equal_the_oracle(
+            self, n, d):
+        rng = np.random.default_rng(1000 * n + d)
+        space, x, y = random_gp_data(rng, n, d)
+        model = GaussianProcess(space).fit(x, y)
+        for _ in range(5):
+            theta = random_theta(rng, space)
+            nll, grad = model._nll_and_grad(theta)
+            want_nll, want_grad = oracle_nll_and_grad(model, theta)
+            assert nll == want_nll
+            assert np.array_equal(grad, want_grad)
+        points = space.sample(rng, 7)
+        for got, want in zip(model.predict(points),
+                             oracle_predict(model, points)):
+            assert np.array_equal(got, want)
+        for point in [*points[:3], x[0]]:  # x[0]: sigma is 0 there
+            value, grad = model.lcb_and_grad(point, 2.0)
+            want_value, want_grad = oracle_lcb_and_grad(model, point, 2.0)
+            assert value == want_value
+            assert np.array_equal(grad, want_grad)
+
+    @pytest.mark.parametrize("n,d", [(6, 2), (15, 32), (25, 4), (40, 10)])
+    def test_fit_equals_the_oracle_fit(self, n, d):
+        rng = np.random.default_rng(7 * n + d)
+        space, x, y = random_gp_data(rng, n, d)
+        model = GaussianProcess(space).fit(x, y)
+        oracle = OracleGaussianProcess(space).fit(x, y)
+        assert np.array_equal(model.theta_, oracle.theta_)
+        assert np.array_equal(model._alpha, oracle._alpha)
+        x2, y2 = np.vstack([x, space.sample(rng, 1)]), np.append(y, 0.0)
+        model.fit(x2, y2)  # the warm start from the first fit
+        oracle.fit(x2, y2)
+        assert np.array_equal(model.theta_, oracle.theta_)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_gradient_matches_central_differences(self, seed):
+        rng = np.random.default_rng(seed)
+        space = SearchSpace(np.zeros(3), np.full(3, 10.0))
+        x = space.sample(rng, 9)
+        y = np.sin(x).sum(axis=1)
+        model = GaussianProcess(space).fit(x, y)
+        theta = np.concatenate([np.log(rng.uniform(1.0, 4.0, 3)),
+                                [rng.uniform(-0.5, 0.5)]])
+        _, grad = model._nll_and_grad(theta)
+        h = 1e-5
+        numeric = np.array([
+            (model._nll_and_grad(theta + h * e)[0]
+             - model._nll_and_grad(theta - h * e)[0]) / (2 * h)
+            for e in np.eye(len(theta))])
+        assert np.allclose(grad, numeric, rtol=1e-5, atol=1e-6)
+
+    def test_non_positive_definite_kernel_returns_the_penalty(self):
+        space = SearchSpace(np.zeros(1), np.ones(1))
+        model = GaussianProcess(space).fit([[0.0], [0.5], [1.0]],
+                                           [0.0, 1.0, 0.0])
+        # squared distances no point set has: 0 and 1 coincide, 1 and 2
+        # coincide, 0 and 2 are far apart, so the kernel is indefinite
+        sq = np.array([[0.0, 0.0, 1e4], [0.0, 0.0, 0.0], [1e4, 0.0, 0.0]])
+        model._sq1d = sq[:, :, None]
+        model._sq1d_t = sq[None, :, :].copy()
+        theta = np.array([0.0, 0.0])
+        for nll, grad in (model._nll_and_grad(theta),
+                          oracle_nll_and_grad(model, theta)):
+            assert nll == 1e25
+            assert np.array_equal(grad, np.zeros(2))
+
+    @pytest.mark.parametrize("cls", [GaussianProcess, OracleGaussianProcess])
+    def test_non_finite_input_raises_value_error(self, cls):
+        space = SearchSpace(np.zeros(2), np.ones(2))
+        x = space.latin_hypercube(np.random.default_rng(2), 6)
+        y = x.sum(axis=1)
+        bad_x = x.copy()
+        bad_x[3, 1] = np.nan
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            cls(space).fit(bad_x, y)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            cls(space).fit(x, np.where(np.arange(6) == 2, np.nan, y))
+        model = cls(space).fit(x, y)
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            model.predict([[0.5, np.nan]])
+        with pytest.raises(ValueError, match="infs or NaNs"):
+            model.lcb_and_grad(np.array([np.nan, 0.5]), 1.0)
