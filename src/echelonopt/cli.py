@@ -4,7 +4,9 @@ Subcommands: generate-data, simulate, evaluate, optimize, compare.
 Exit codes: 0 on success (and feasible policies for `evaluate`), 2 when
 `evaluate` finds a policy missing its targets, 1 on configuration, data,
 or usage errors.  Every run is reproducible from its config file and
-seeds; `optimize` and `compare` write a manifest next to their outputs.
+seeds.  Every command that takes ``--out`` (generate-data, evaluate,
+optimize, compare) needs it new or empty, writes a manifest there and,
+if it fails, removes what it wrote.
 """
 
 from __future__ import annotations
@@ -79,33 +81,26 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _make_out_dir(args: argparse.Namespace) -> Path:
-    """Create ``--out`` with a run manifest."""
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_json(out_dir / "manifest.json", {
-        "subcommand": args.command,
-        "config": str(Path(args.config).resolve()),
-        "history_dir": (str(Path(args.history_dir).resolve())
-                        if getattr(args, "history_dir", None) else None),
-        "out": str(out_dir.resolve()),
-        "seed_override": getattr(args, "seed", None),
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-    })
-    return out_dir
-
-
 @contextmanager
 def _fresh_out_dir(args: argparse.Namespace):
-    """``--out``, new or empty, with a run manifest.  A run that raises
-    removes the files it wrote there and the directories it made."""
+    """Create ``--out``, new or empty, with a run manifest.  A run that
+    raises removes the files it wrote there and the directories it made."""
     out_dir = Path(args.out)
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     if not made and any(out_dir.iterdir()):
         raise ConfigError(f"--out {out_dir} exists and is not empty; "
                           "give a new or empty directory")
-    _make_out_dir(args)
+    out_dir.mkdir(parents=True, exist_ok=True)
     try:
+        _write_json(out_dir / "manifest.json", {
+            "subcommand": args.command,
+            "config": str(Path(args.config).resolve()),
+            "history_dir": (str(Path(args.history_dir).resolve())
+                            if getattr(args, "history_dir", None) else None),
+            "out": str(out_dir.resolve()),
+            "seed_override": getattr(args, "seed", None),
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        })
         yield out_dir
     except Exception:
         for path in out_dir.iterdir():  # it was empty: every file is ours
@@ -121,8 +116,8 @@ def cmd_generate_data(args) -> int:
         raise ConfigError("config has no generator section")
     seed = _scenario(cfg, args).base_seed
     history = generate_synthetic_history(cfg.network, cfg.generator, seed)
-    out_dir = _make_out_dir(args)
-    written = write_history(history, out_dir)
+    with _fresh_out_dir(args) as out_dir:
+        written = write_history(history, out_dir)
     print(f"wrote {len(written)} history files to {out_dir} (seed {seed})")
     for fid, series in sorted(history.demand.items()):
         print(f"  demand[{fid}]: n={len(series)} mean={series.mean():.2f} "
@@ -165,6 +160,11 @@ def cmd_evaluate(args) -> int:
     cfg, history, scenario, policy = _load_inputs(args)
     report = evaluate(policy, cfg.network, history, scenario)
     targets = cfg.network.targets
+    payload = {**asdict(report), "targets": targets,
+               "policy": policy_payload(policy, cfg.network)}
+    if args.out:  # first, so a refused --out prints no report
+        with _fresh_out_dir(args) as out_dir:
+            _write_json(out_dir / "evaluation.json", payload)
 
     print(f"Z = {report.z:.4f}  (mean total on-hand {report.mean_total_on_hand:.4f}, "
           f"mean violation {report.mean_violation:.6f}, "
@@ -177,12 +177,7 @@ def cmd_evaluate(args) -> int:
               f"{report.std_beta[fid]:>9.4f} {targets[fid]:>7.2f} "
               f"{'PASS' if met else 'FAIL':>7} "
               f"{report.mean_on_hand[fid]:>13.2f}")
-
-    payload = {**asdict(report), "targets": targets,
-               "policy": policy_payload(policy, cfg.network)}
-    if args.out:
-        _write_json(_make_out_dir(args) / "evaluation.json", payload)
-    else:
+    if not args.out:
         print(json.dumps(payload, sort_keys=True))
     return 0 if report.feasible else 2
 

@@ -311,12 +311,12 @@ def _read_series(history_dir: str | Path, series: str,
         raise ConfigError(f"history file not found: {path}")
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows or rows[0] != [series]:
+    if not rows or rows[0] != [series] or any(len(r) != 1 for r in rows):
         raise ConfigError(f"{path}: expected single-column CSV with "
                           f"header {series!r}")
     try:
         return np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
-    except (ValueError, IndexError):
+    except ValueError:
         raise ConfigError(f"{path}: non-integer value in series") from None
 
 

@@ -29,7 +29,7 @@ _STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGIES)}
 
 
 def derive_strategy_seed(shared_seed: int, strategy: str) -> int:
-    seq = np.random.SeedSequence(shared_seed & 0xFFFFFFFFFFFFFFFF,
+    seq = np.random.SeedSequence(shared_seed,
                                  spawn_key=(_STRATEGY_CODE[strategy],))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 

@@ -13,7 +13,7 @@ Observations are treated as noise-free (common random numbers upstream
 make the objective deterministic); the diagonal jitter exists purely for
 numerical conditioning and escalates on Cholesky failure.
 
-The likelihood, prediction and acquisition call LAPACK's dpotrf/dpotrs
+Every Cholesky factorization and solve calls LAPACK's dpotrf/dpotrs
 directly, with the arguments SciPy's cholesky/cho_solve pass them and
 the same finite-input check, so every fitted theta and acquisition is
 bit-identical to the wrapper path at a fraction of its call overhead.
@@ -24,7 +24,6 @@ from __future__ import annotations
 import logging
 
 import numpy as np
-from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize as scipy_minimize
 
@@ -48,6 +47,14 @@ def _finite(a: np.ndarray, what: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise ValueError(f"{what} must not contain infs or NaNs")
     return a
+
+
+def _lower_cholesky(k: np.ndarray) -> np.ndarray | None:
+    """K's lower Cholesky factor, or None when K is not positive definite."""
+    chol, info = dpotrf(_finite(k, "kernel matrix"), lower=1, clean=1)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of dpotrf")
+    return chol if info == 0 else None
 
 
 def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -84,9 +91,7 @@ class GaussianProcess:
         self._eye = np.eye(len(x))
 
         span = self.space.span
-        log_lo = np.log(1e-3 * span)
-        log_hi = np.log(10.0 * span)
-        bounds = [(lo, hi) for lo, hi in zip(log_lo, log_hi)]
+        bounds = list(zip(np.log(1e-3 * span), np.log(10.0 * span)))
         bounds.append((np.log(1e-2), np.log(1e2)))  # log amplitude
 
         starts = [np.concatenate([np.log(0.3 * span), [0.0]]),
@@ -118,11 +123,9 @@ class GaussianProcess:
         n, d = len(k), len(ell2)
         kj = k.copy()
         kj.flat[::n + 1] += BASE_JITTER * amp2 + 1e-12
-        chol, info = dpotrf(_finite(kj, "kernel matrix"), lower=1, clean=1)
-        if info > 0:  # not positive definite
+        chol = _lower_cholesky(kj)
+        if chol is None:  # not positive definite
             return 1e25, np.zeros_like(theta)
-        if info < 0:
-            raise ValueError(f"illegal value in argument {-info} of dpotrf")
         alpha = _cho_solve(chol, self._yc)
         nll = (0.5 * float(self._yc @ alpha)
                + float(np.log(np.diag(chol)).sum())
@@ -145,28 +148,25 @@ class GaussianProcess:
         k = self._kernel(self.x_train, self.x_train)
         scale = self.amplitude ** 2
         jitter = BASE_JITTER
-        while True:
-            try:
-                kj = k.copy()
-                kj[np.diag_indices_from(kj)] += jitter * scale
-                self._chol = cho_factor(kj, lower=True)
+        while True:  # self._chol: K's lower factor, upper triangle zero
+            self._chol = _lower_cholesky(k + jitter * scale * self._eye)
+            if self._chol is not None:
                 break
-            except np.linalg.LinAlgError:
-                if jitter * 100.0 > MAX_JITTER:
-                    raise SingularKernelError(
-                        f"kernel not positive definite at jitter {jitter:g}")
-                jitter *= 100.0
-                logger.debug("gp kernel on %d points not positive "
-                             "definite; raising jitter to %g", len(k), jitter)
+            if jitter * 100.0 > MAX_JITTER:
+                raise SingularKernelError(
+                    f"kernel not positive definite at jitter {jitter:g}")
+            jitter *= 100.0
+            logger.debug("gp kernel on %d points not positive "
+                         "definite; raising jitter to %g", len(k), jitter)
         self.jitter_ = jitter * scale
-        self._alpha = _cho_solve(self._chol[0], self._yc)
+        self._alpha = _cho_solve(self._chol, self._yc)
 
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation on the original y scale."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         k_star = self._kernel(x, self.x_train)
         mu = k_star @ self._alpha
-        v = _cho_solve(self._chol[0], _finite(k_star, "k_star").T)
+        v = _cho_solve(self._chol, _finite(k_star, "k_star").T)
         var = self.amplitude ** 2 - np.sum(k_star * v.T, axis=1)
         var = np.maximum(var, 0.0)
         return (mu * self._y_scale + self._y_mean,
@@ -188,7 +188,7 @@ class GaussianProcess:
         dk = (k_star[:, None] * diff) / ell2  # rows: dk_i/dx
         mu = float(k_star @ self._alpha)
         dmu = self._alpha @ dk
-        v = _cho_solve(self._chol[0], _finite(k_star, "k_star"))
+        v = _cho_solve(self._chol, _finite(k_star, "k_star"))
         var = max(self.amplitude ** 2 - float(k_star @ v), 0.0)
         sigma = np.sqrt(var)
         if sigma > 1e-12 * self.amplitude:

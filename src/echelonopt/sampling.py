@@ -54,10 +54,10 @@ class StreamKey:
 
     def generator(self) -> np.random.Generator:
         w1, w2 = _stable_id_words(self.facility)
+        # any non-negative ints, so no two seeds or replications alias
         seq = np.random.SeedSequence(
-            entropy=self.base_seed & 0xFFFFFFFFFFFFFFFF,
-            spawn_key=(self.replication & 0xFFFFFFFF, w1, w2,
-                       self.purpose.value),
+            entropy=self.base_seed,
+            spawn_key=(self.replication, w1, w2, self.purpose.value),
         )
         return np.random.default_rng(seq)
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from echelonopt import cli
 from echelonopt.cli import main
 from echelonopt.config import STRATEGIES, merge_optimizer_settings
 from echelonopt.harness import derive_strategy_seed
@@ -27,6 +28,19 @@ def history_dir(config_path, tmp_path_factory):
                  "--out", str(out)])
     assert code == 0
     return str(out)
+
+
+def out_dir_argv(command, config_path, history_dir, out):
+    """A quick run of ``command`` that writes to ``out``."""
+    argv = [command, "--config", config_path, "--out", str(out)]
+    if command != "generate-data":
+        argv += ["--history-dir", history_dir, "--replications", "1",
+                 "--horizon", "10"]
+    if command in ("optimize", "compare"):
+        argv += ["--strategy", "rbf", "--max-evals", "3"]
+    if command == "compare":
+        argv += ["--choice", "both"]
+    return argv
 
 
 class TestGenerateData:
@@ -308,12 +322,9 @@ class TestSearchErrors:
 
     def test_singular_kernel(self, config_path, history_dir, tmp_path,
                              capsys, monkeypatch):
-        import numpy as np
         from echelonopt.optim import gp
 
-        def never(*args, **kwargs):
-            raise np.linalg.LinAlgError("not positive definite")
-        monkeypatch.setattr(gp, "cho_factor", never)
+        monkeypatch.setattr(gp, "_lower_cholesky", lambda k: None)
         code = self.optimize(config_path, history_dir, tmp_path,
                              "--strategy", "gp", "--max-evals", "12")
         assert code == 1
@@ -322,50 +333,68 @@ class TestSearchErrors:
         assert err[0].startswith("error: SingularKernelError: kernel not "
                                  "positive definite")
 
-    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("command", ["generate-data", "evaluate",
+                                         "optimize", "compare"])
     @pytest.mark.parametrize("out_path,existing", [
         ("run", False), ("new/parents/run", False), ("run", True)],
         ids=["new-out", "nested-out", "empty-out"])
     def test_failed_run_leaves_no_partial_output(self, config_path,
                                                  history_dir, tmp_path,
                                                  command, out_path, existing,
-                                                 capsys):
+                                                 capsys, monkeypatch):
         out = tmp_path / out_path
         if existing:
             out.mkdir()
-        argv = [command, "--config", config_path, "--history-dir",
-                history_dir, "--out", str(out), "--strategy", "rbf",
-                "--replications", "1", "--horizon", "10"]
-        assert main([*argv, "--max-minutes", "1e-12"]) == 1
-        assert capsys.readouterr().err.startswith(
-            "error: BudgetExhaustedError")
+        argv = out_dir_argv(command, config_path, history_dir, out)
+        if command in ("optimize", "compare"):
+            failing = [*argv, "--max-minutes", "1e-12"]
+            error = "error: BudgetExhaustedError"
+        else:  # the writer raises once it has written its file(s)
+            writer = ("write_history" if command == "generate-data"
+                      else "_write_json")
+            real = getattr(cli, writer)
+
+            def write_then_fail(*args):
+                real(*args)
+                raise OSError("No space left on device")
+            monkeypatch.setattr(cli, writer, write_then_fail)
+            failing, error = argv, "error: OSError: No space left"
+        assert main(failing) == 1
+        assert capsys.readouterr().err.startswith(error)
         assert sorted(tmp_path.rglob("*")) == ([out] if existing else [])
-        assert main([*argv, "--max-evals", "3"]) == 0
+        monkeypatch.undo()
+        assert main(argv) == 0
         assert (out / "manifest.json").exists()
 
 
 class TestOutDir:
-    """One run per output directory."""
+    """One run per output directory, whichever command writes it."""
 
     def run(self, command, config_path, history_dir, out):
-        both = ["--choice", "both"] if command == "compare" else []
-        return main([command, "--config", config_path,
-                     "--history-dir", history_dir, "--out", str(out),
-                     "--strategy", "rbf", *both, "--max-evals", "3",
-                     "--replications", "1", "--horizon", "10"])
+        return main(out_dir_argv(command, config_path, history_dir, out))
 
-    @pytest.mark.parametrize("command", ["optimize", "compare"])
+    @pytest.mark.parametrize("first,command", [
+        *((c, c) for c in ("generate-data", "evaluate", "optimize",
+                           "compare")),
+        ("optimize", "evaluate")],
+        ids=["generate-data", "evaluate", "optimize", "compare",
+             "evaluate-into-optimize"])
     def test_second_run_into_the_same_out_fails(self, config_path,
                                                 history_dir, tmp_path,
-                                                command, capsys):
+                                                first, command, capsys):
         out = tmp_path / "run"
-        assert self.run(command, config_path, history_dir, out) == 0
+        assert self.run(first, config_path, history_dir, out) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
         assert self.run(command, config_path, history_dir, out) == 1
-        err = capsys.readouterr().err
-        assert f"--out {out} exists and is not empty" in err
+        printed = capsys.readouterr()
+        err = printed.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert f"--out {out} exists and is not empty" in err[0]
+        assert printed.out == ""  # no report from a refused run
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["subcommand"] == first
 
     def test_empty_out_is_used(self, config_path, history_dir, tmp_path):
         out = tmp_path / "empty"
@@ -792,6 +821,8 @@ class TestConfigValidation:
                      "is not valid JSON", id="not-json"),
         pytest.param("optimize", None, ("demand_1.csv", "lead_delta\n3\n"),
                      "expected single-column CSV", id="history-header"),
+        pytest.param("optimize", None, ("demand_1.csv", "demand\n5,99\n7\n"),
+                     "expected single-column CSV", id="history-extra-cell"),
         pytest.param("optimize", None, ("demand_1.csv", "demand\n1.5\n"),
                      "non-integer value in series", id="history-fraction"),
         pytest.param("optimize", None, ("demand_1.csv", "demand\n-3\n"),

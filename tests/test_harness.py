@@ -27,6 +27,8 @@ def test_strategy_seeds_disjoint_and_stable():
     assert len(set(seeds.values())) == len(STRATEGIES)
     assert seeds == {s: derive_strategy_seed(42, s) for s in STRATEGIES}
     assert seeds != {s: derive_strategy_seed(43, s) for s in STRATEGIES}
+    assert seeds != {s: derive_strategy_seed(42 + 2**64, s)
+                     for s in STRATEGIES}
 
 
 def tiny_scenario():

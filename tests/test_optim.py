@@ -272,28 +272,28 @@ class TestGaussianProcess:
     def test_failed_factorization_raises_the_jitter(self, monkeypatch,
                                                     caplog, failures):
         """Each failed factorization multiplies the jitter by 100 and logs
-        it; past MAX_JITTER (failures=None: every attempt fails) the fit
-        raises SingularKernelError."""
-        attempts = []
-        factor = gp.cho_factor
-
-        def flaky(matrix, lower):
-            attempts.append(matrix.copy())
-            if failures is None or len(attempts) <= failures:
-                raise np.linalg.LinAlgError("not positive definite")
-            return factor(matrix, lower=lower)
-        monkeypatch.setattr(gp, "cho_factor", flaky)
-        caplog.set_level("DEBUG", logger=gp.__name__)
+        it; past MAX_JITTER (failures=None: every attempt fails) the
+        factorization raises SingularKernelError."""
         space = SearchSpace(np.zeros(2), np.full(2, 1.0))
         x = space.latin_hypercube(np.random.default_rng(1), 8)
         y = (x ** 2).sum(axis=1)
-        model = GaussianProcess(space)
+        model = GaussianProcess(space).fit(x, y)
+        attempts = []
+        factor = gp.dpotrf
+
+        def flaky(matrix, **kwargs):
+            attempts.append(matrix.copy())
+            if failures is None or len(attempts) <= failures:
+                return matrix, 1  # info > 0: not positive definite
+            return factor(matrix, **kwargs)
+        monkeypatch.setattr(gp, "dpotrf", flaky)
+        caplog.set_level("DEBUG", logger=gp.__name__)
         if failures is None:
             with pytest.raises(SingularKernelError,
                                match=r"positive definite at jitter 0\.0001$"):
-                model.fit(x, y)
+                model._factorize()
         else:
-            model.fit(x, y)
+            model._factorize()
         jitters = [1e-10, 1e-8, 1e-6, 1e-4][:len(attempts)]
         assert len(attempts) == (4 if failures is None else failures + 1)
         scale = model.amplitude ** 2
@@ -437,7 +437,7 @@ def oracle_predict(model, x):
     x = np.atleast_2d(np.asarray(x, dtype=float))
     k_star = model._kernel(x, model.x_train)
     mu = k_star @ model._alpha
-    v = cho_solve(model._chol, k_star.T)
+    v = cho_solve((model._chol, True), k_star.T)
     var = np.maximum(model.amplitude ** 2 - np.sum(k_star * v.T, axis=1),
                      0.0)
     return (mu * model._y_scale + model._y_mean,
@@ -454,7 +454,7 @@ def oracle_lcb_and_grad(model, x, kappa):
     dk = (k_star[:, None] * diff) / ell2
     mu = float(k_star @ model._alpha)
     dmu = model._alpha @ dk
-    v = cho_solve(model._chol, k_star)
+    v = cho_solve((model._chol, True), k_star)
     var = max(model.amplitude ** 2 - float(k_star @ v), 0.0)
     sigma = np.sqrt(var)
     if sigma > 1e-12 * model.amplitude:
@@ -517,12 +517,17 @@ class TestGaussianProcessOracle:
 
     @pytest.mark.parametrize("n,d", [(6, 2), (15, 32), (25, 4), (40, 10)])
     def test_fit_equals_the_oracle_fit(self, n, d):
+        from scipy.linalg import cho_factor
         rng = np.random.default_rng(7 * n + d)
         space, x, y = random_gp_data(rng, n, d)
         model = GaussianProcess(space).fit(x, y)
         oracle = OracleGaussianProcess(space).fit(x, y)
         assert np.array_equal(model.theta_, oracle.theta_)
         assert np.array_equal(model._alpha, oracle._alpha)
+        kj = model._kernel(x, x)  # the factor cho_factor gave before
+        kj[np.diag_indices_from(kj)] += model.jitter_
+        assert np.array_equal(model._chol,
+                              np.tril(cho_factor(kj, lower=True)[0]))
         x2, y2 = np.vstack([x, space.sample(rng, 1)]), np.append(y, 0.0)
         model.fit(x2, y2)  # the warm start from the first fit
         oracle.fit(x2, y2)

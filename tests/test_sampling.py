@@ -103,6 +103,9 @@ class TestBootstrap:
             StreamKey(1, 1, "B", StreamPurpose.DEMAND),
             StreamKey(1, 2, "A", StreamPurpose.DEMAND),
             StreamKey(2, 1, "A", StreamPurpose.DEMAND),
+            # seeds and replications past 64 and 32 bits do not wrap
+            StreamKey(1 + 2**64, 1, "A", StreamPurpose.DEMAND),
+            StreamKey(1, 1 + 2**32, "A", StreamPurpose.DEMAND),
         ]
         seqs = [tuple(bootstrap_draw_array(samples, k.generator(), 20))
                 for k in keys]
@@ -153,6 +156,11 @@ class TestSyntheticHistory:
             SeriesParams(10.0, -0.5)
         with pytest.raises(InvalidParamsError):
             self.params(length=0)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError):
+            generate_synthetic_history(two_facility_network(),
+                                       self.params(50.0, 5.0), seed=-1)
 
     def test_missing_facility_params_rejected(self):
         net = two_facility_network()
