@@ -350,7 +350,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(str(exc))
-    except (OSError, ValueError, KeyError, BudgetExhaustedError,
+    except (OSError, ValueError, BudgetExhaustedError,
             SingularKernelError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 

@@ -26,6 +26,7 @@ from .model import (
     FacilitySpec,
     HistoryDataset,
     NetworkSpec,
+    NetworkValidationError,
     PolicyVector,
     ScenarioConfig,
     validate_network,
@@ -128,8 +129,7 @@ def _load_network(raw: dict) -> NetworkSpec:
     network = NetworkSpec(facilities)
     violations = validate_network(network)
     if violations:
-        raise ConfigError("invalid network: "
-                          + "; ".join(str(v) for v in violations))
+        raise ConfigError(str(NetworkValidationError(violations)))
     return network
 
 

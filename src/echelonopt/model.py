@@ -36,26 +36,9 @@ class NonFiniteInputError(ValueError):
 class NetworkValidationError(ValueError):
     """Raised when a network spec fails validation."""
 
-    def __init__(self, violations: Sequence["Violation"]):
+    def __init__(self, violations: Sequence[str]):
         self.violations = list(violations)
-        lines = "; ".join(str(v) for v in violations)
-        super().__init__(f"invalid network: {lines}")
-
-
-@dataclass(frozen=True)
-class Violation:
-    code: str
-    facility_id: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.code}[{self.facility_id}]: {self.message}"
-
-
-CYCLE_DETECTED = "CYCLE_DETECTED"
-MULTIPLE_UPSTREAMS = "MULTIPLE_UPSTREAMS"
-UNKNOWN_UPSTREAM = "UNKNOWN_UPSTREAM"
-TARGET_ON_NONCUSTOMER_FACILITY = "TARGET_ON_NONCUSTOMER_FACILITY"
+        super().__init__(f"invalid network: {'; '.join(self.violations)}")
 
 
 @dataclass(frozen=True)
@@ -102,45 +85,38 @@ class NetworkSpec:
             raise NetworkValidationError(violations)
 
 
-def validate_network(spec: NetworkSpec) -> list[Violation]:
+def validate_network(spec: NetworkSpec) -> list[str]:
     """Check the tree/uniqueness/target invariants.
 
     Returns an empty list when the network is valid, otherwise one
-    violation per problem found (the network is never mutated or
-    repaired).
+    message per problem found, each starting ``facility <id>: `` (the
+    network is never mutated or repaired).
     """
-    violations: list[Violation] = []
+    problems: list[tuple[str, str]] = []
     seen: set[str] = set()
     for f in spec.facilities:
         if f.id in seen:
-            violations.append(Violation(
-                MULTIPLE_UPSTREAMS, f.id,
-                "facility declared more than once (a second upstream)"))
+            problems.append((f.id, "declared more than once"))
         seen.add(f.id)
         if f.id == SOURCE:
-            violations.append(Violation(
-                UNKNOWN_UPSTREAM, f.id,
-                "the SOURCE sentinel cannot be a stocking facility"))
+            problems.append(
+                (f.id, "the SOURCE sentinel cannot be a stocking facility"))
         if not (0.0 <= f.target_beta <= 1.0):
-            violations.append(Violation(
-                TARGET_ON_NONCUSTOMER_FACILITY, f.id,
-                f"target_beta {f.target_beta} outside [0, 1]"))
+            problems.append(
+                (f.id, f"target_beta {f.target_beta} outside [0, 1]"))
         elif not f.serves_customers and f.target_beta != 0.0:
-            violations.append(Violation(
-                TARGET_ON_NONCUSTOMER_FACILITY, f.id,
-                "non-customer facility must have target_beta = 0"))
+            problems.append((f.id, "serves no customers, so target_beta "
+                                   f"must be 0, got {f.target_beta}"))
         if f.base_lead_time < 0:
-            violations.append(Violation(
-                UNKNOWN_UPSTREAM, f.id,
-                f"base_lead_time {f.base_lead_time} is negative"))
+            problems.append(
+                (f.id, f"base_lead_time {f.base_lead_time} is negative"))
 
     ids = set(f.id for f in spec.facilities)
     upstream_of = {f.id: f.upstream for f in spec.facilities}
     for f in spec.facilities:
         if f.upstream != SOURCE and f.upstream not in ids:
-            violations.append(Violation(
-                UNKNOWN_UPSTREAM, f.id,
-                f"upstream {f.upstream!r} is not a known facility"))
+            problems.append(
+                (f.id, f"upstream {f.upstream!r} is not a known facility"))
 
     # Walk upstream pointers: every chain must terminate at SOURCE without
     # revisiting a facility.
@@ -149,13 +125,12 @@ def validate_network(spec: NetworkSpec) -> list[Violation]:
         current = f.id
         while current != SOURCE:
             if current in trail:
-                violations.append(Violation(
-                    CYCLE_DETECTED, f.id,
-                    f"upstream chain revisits {current!r}"))
+                problems.append(
+                    (f.id, f"upstream chain revisits {current!r}"))
                 break
             trail.add(current)
             current = upstream_of.get(current, SOURCE)
-    return violations
+    return [f"facility {fid}: {message}" for fid, message in problems]
 
 
 @dataclass(frozen=True)
@@ -248,10 +223,11 @@ class HistoryDataset:
     def require_covers(self, network: NetworkSpec) -> None:
         for fid in network.customer_ids:
             if fid not in self.demand:
-                raise KeyError(f"no demand history for customer facility {fid}")
+                raise ValueError(
+                    f"no demand history for customer facility {fid}")
         for fid in network.ids:
             if fid not in self.lead_delta:
-                raise KeyError(f"no lead-delta history for facility {fid}")
+                raise ValueError(f"no lead-delta history for facility {fid}")
 
 
 def _frozen_samples(fid: str, values) -> np.ndarray:

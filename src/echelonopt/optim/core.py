@@ -93,7 +93,7 @@ class Budget:
 
 # The least value of each search setting, whichever search takes it.
 SETTING_MINIMUMS = {"cycles": 1, "iterations_per_cycle": 1,
-                    "n_random_starts": 1, "kappa": 0}
+                    "n_random_starts": 1, "kappa": 0, "seed": 0}
 
 
 def check_settings(settings: dict) -> None:

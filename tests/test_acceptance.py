@@ -49,31 +49,10 @@ def report(criterion: str, detail: str = ""):
 # criterion 1: engine vs independent brute force, exact integer equality
 # --------------------------------------------------------------------------
 
-def brute_force_single_facility(horizon, base_lead, rop, base_stock,
-                                demand, init_fraction=0.9):
-    """Independent plain-loop trajectory for the deterministic sawtooth."""
-    on_hand = position = round(init_fraction * base_stock)
-    in_transit = []
-    total_demand = total_shipped = 0
-    trace = []
-    for day in range(1, horizon + 1):
-        on_hand += sum(q for a, q in in_transit if a <= day)
-        in_transit = [(a, q) for a, q in in_transit if a > day]
-        total_demand += demand
-        s = min(demand, on_hand)
-        total_shipped += s
-        on_hand -= s
-        position -= s
-        if position <= rop:
-            q = base_stock - on_hand
-            if q > 0:
-                position += q
-                in_transit.append((day + base_lead, q))
-        trace.append(on_hand)
-    return sum(trace) / horizon, total_shipped / total_demand
-
-
 def test_criterion_1_engine_oracle_equivalence():
+    # imported here: test_engine imports this module at its top
+    from test_engine import brute_force_single_facility
+
     net = NetworkSpec([FacilitySpec("store", SOURCE, 2, 0.95, True)])
     pol = PolicyVector({"store": 50}, {"store": 100})
     hist = HistoryDataset(demand={"store": [10]}, lead_delta={"store": [0]})

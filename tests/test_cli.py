@@ -794,6 +794,10 @@ class TestConfigValidation:
             facilities={"1": {"id": "1"}}), None,
             "network.facilities: expected a list, got {",
             id="facilities-object"),
+        pytest.param("generate-data", lambda raw: raw["network"][
+            "facilities"][0].update(base_lead_time=-1), None,
+            "error: invalid network: facility 1: base_lead_time -1 is "
+            "negative", id="negative-lead-time"),
         pytest.param("optimize", lambda raw: raw["network"]["facilities"][0]
                      .pop("upstream"), None,
                      "facility: missing required key 'upstream'",
@@ -807,6 +811,9 @@ class TestConfigValidation:
         pytest.param("optimize", lambda raw: raw["scenario"].update(
             base_seed=-1), None,
             "scenario: base_seed must be >= 0", id="negative-seed"),
+        pytest.param("optimize", lambda raw: raw["optimizers"]["rbf"].update(
+            seed=-1), None, "optimizers.rbf.seed must be >= 0, got -1",
+            id="negative-optimizer-seed"),
         pytest.param("optimize", lambda raw: raw["initial_policy"].update(
             {"1": {"reorder_point": 10, "base_stock": 5}}), None,
             "need base_stock >= reorder_point", id="base-below-rop"),
@@ -852,6 +859,8 @@ class TestConfigValidation:
         errors = capsys.readouterr().err.splitlines()
         assert len(errors) == 1, errors
         assert errors[0].startswith("error:") and fragment in errors[0]
+        if fragment.startswith("error:"):  # the whole line is given
+            assert errors[0] == fragment
         assert not out.exists()
 
     def test_invalid_network_rejected(self, tmp_path):

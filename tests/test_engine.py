@@ -521,7 +521,8 @@ class TestScenarioCache:
         for _ in range(2):
             with pytest.raises(NetworkValidationError):
                 sim_network(broken, policy, hist, cfg, 1)
-            with pytest.raises(KeyError):
+            with pytest.raises(ValueError, match="^no lead-delta history "
+                               "for facility west$"):
                 sim_network(net, policy, uncovered, cfg, 1)
             sim_network(net, policy, hist, cfg, 1)
 

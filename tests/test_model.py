@@ -4,14 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from echelonopt.model import (
-    CYCLE_DETECTED,
-    MULTIPLE_UPSTREAMS,
     SOURCE,
-    TARGET_ON_NONCUSTOMER_FACILITY,
-    UNKNOWN_UPSTREAM,
     FacilitySpec,
     HistoryDataset,
     NetworkSpec,
+    NetworkValidationError,
     NonFiniteInputError,
     PolicyVector,
     ScenarioConfig,
@@ -44,37 +41,77 @@ class TestValidateNetwork:
             FacilitySpec("a", "b", 1, 0.0, False),
             FacilitySpec("b", "a", 1, 0.0, False),
         ])
-        codes = {v.code for v in validate_network(net)}
-        assert CYCLE_DETECTED in codes
+        assert validate_network(net) == [
+            "facility a: upstream chain revisits 'a'",
+            "facility b: upstream chain revisits 'b'"]
 
     def test_self_loop_detected(self):
         net = NetworkSpec([FacilitySpec("a", "a", 1, 0.0, False)])
-        codes = {v.code for v in validate_network(net)}
-        assert CYCLE_DETECTED in codes
+        assert "facility a: upstream chain revisits 'a'" in validate_network(
+            net)
 
     def test_unknown_upstream(self):
         net = NetworkSpec([FacilitySpec("a", "ghost", 1, 0.0, False)])
-        violations = validate_network(net)
-        assert any(v.code == UNKNOWN_UPSTREAM and v.facility_id == "a"
-                   for v in violations)
+        assert ("facility a: upstream 'ghost' is not a known facility"
+                in validate_network(net))
 
     def test_duplicate_id_reported(self):
         net = NetworkSpec([
             FacilitySpec("a", SOURCE, 1, 0.0, False),
             FacilitySpec("a", SOURCE, 2, 0.0, False),
         ])
-        codes = {v.code for v in validate_network(net)}
-        assert MULTIPLE_UPSTREAMS in codes
+        assert "facility a: declared more than once" in validate_network(net)
 
     def test_target_on_noncustomer_facility(self):
         net = NetworkSpec([FacilitySpec("a", SOURCE, 1, 0.5, False)])
-        codes = {v.code for v in validate_network(net)}
-        assert TARGET_ON_NONCUSTOMER_FACILITY in codes
+        assert ("facility a: serves no customers, so target_beta must be 0, "
+                "got 0.5" in validate_network(net))
 
     def test_target_outside_unit_interval(self):
         net = NetworkSpec([FacilitySpec("a", SOURCE, 1, 1.5, True)])
-        codes = {v.code for v in validate_network(net)}
-        assert TARGET_ON_NONCUSTOMER_FACILITY in codes
+        assert ("facility a: target_beta 1.5 outside [0, 1]"
+                in validate_network(net))
+
+    # One network per rule, in the order validate_network checks them.
+    @pytest.mark.parametrize("facilities,messages", [
+        pytest.param([FacilitySpec("a", SOURCE, 1, 0.0, False),
+                      FacilitySpec("a", SOURCE, 2, 0.0, False)],
+                     ["facility a: declared more than once"],
+                     id="duplicate-id"),
+        pytest.param([FacilitySpec(SOURCE, SOURCE, 1, 0.0, False)],
+                     ["facility SOURCE: the SOURCE sentinel cannot be a "
+                      "stocking facility"],
+                     id="source-as-facility"),
+        pytest.param([FacilitySpec("a", SOURCE, 1, 1.5, True)],
+                     ["facility a: target_beta 1.5 outside [0, 1]"],
+                     id="target-outside-unit-interval"),
+        pytest.param([FacilitySpec("a", SOURCE, 1, 0.5, False)],
+                     ["facility a: serves no customers, so target_beta "
+                      "must be 0, got 0.5"],
+                     id="target-on-noncustomer-facility"),
+        pytest.param([FacilitySpec("a", SOURCE, -1, 0.0, False)],
+                     ["facility a: base_lead_time -1 is negative"],
+                     id="negative-lead-time"),
+        pytest.param([FacilitySpec("a", "ghost", 1, 0.0, False)],
+                     ["facility a: upstream 'ghost' is not a known facility"],
+                     id="unknown-upstream"),
+        pytest.param([FacilitySpec("a", "a", 1, 0.0, False)],
+                     ["facility a: upstream chain revisits 'a'"],
+                     id="self-loop"),
+    ])
+    def test_each_rule_reports_one_message(self, facilities, messages):
+        assert validate_network(NetworkSpec(facilities)) == messages
+
+    def test_error_joins_every_message(self):
+        net = NetworkSpec([FacilitySpec("a", "ghost", -1, 0.5, False)])
+        with pytest.raises(NetworkValidationError) as info:
+            net.require_valid()
+        assert info.value.violations == validate_network(net)
+        assert str(info.value) == (
+            "invalid network: facility a: serves no customers, so "
+            "target_beta must be 0, got 0.5; facility a: base_lead_time -1 "
+            "is negative; facility a: upstream 'ghost' is not a known "
+            "facility")
 
 
 class TestPolicyVector:
