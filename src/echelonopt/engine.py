@@ -36,8 +36,26 @@ Replenishment mechanics:
 
 Implementation.  One replication is a single flat day loop over
 per-facility lists indexed by network position; there are no per-facility
-objects and no helper calls inside the loop.
+objects and no helper calls inside the loop.  State changes only when
+stock moves, and exact integer identities give the rest:
 
+* The ordering test reads ``trigger = reorder_point - on_order``, which
+  changes only when an order is placed (``-= q``) or lands (``+= q``):
+  the position reaches the reorder point exactly when ``on_hand <=
+  trigger``.  The trace's inventory position is ``on_hand +
+  reorder_point - trigger``.
+* The sum of end-of-day on-hand stock is ``held``: ``horizon x start``
+  plus ``q x (horizon + 1 - d)`` for every change ``q`` on day ``d``.
+  Each customer's demand would subtract ``W = sum of demand_d x (horizon
+  + 1 - d)``, so ``held`` starts at ``horizon x start - W``; an arrival
+  adds ``q x w``, a supplier's shipments subtract ``taken x w``, and a
+  short customer day adds back ``(demand - shipped) x w``, where ``w =
+  horizon + 1 - day``.  ``avg_on_hand`` is ``held / horizon``.
+* An ordinary customer day (demand in stock, no backlog) is therefore
+  one store.  A short day adds ``demand - stock`` to ``short``: the late
+  units under backorders, the lost sales otherwise.  Shipped totals are
+  ``total_demand - final_backorders`` under backorders and
+  ``total_demand - short`` under lost sales.
 * Shipments are filed in an arrival calendar, one list per day, at the
   day they land; a shipment that lands after the horizon is never filed.
   The arrivals phase reads one list instead of scanning every facility's
@@ -68,8 +86,9 @@ objects and no helper calls inside the loop.
   count change no draw and are not part of it.  Each replication's
   tables are drawn the first time it is simulated and then kept:
   replications x (customers + facilities) x horizon ints, 64,800 on the
-  bundled preset.  An invalid network or uncovered history is never
-  cached, so it raises on every call.
+  bundled preset, plus each customer's weighted demand ``W``.  An
+  invalid network or uncovered history is never cached, so it raises on
+  every call.
 
 One replication is strictly sequential and deterministic in
 (network, policy, history, base_seed, replication); distinct
@@ -82,6 +101,8 @@ from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
+
+import numpy as np
 
 from .model import (
     SOURCE,
@@ -144,11 +165,11 @@ class _Scenario:
         self.suppliers = tuple(sorted(set(self.upstream) - {-1}))
         self.customers = tuple(position_of[fid]
                                for fid in network.customer_ids)
-        self.noncustomer = frozenset(range(len(ids))) - set(self.customers)
         self._draws: dict[int, tuple] = {}
 
     def draws(self, replication: int) -> tuple:
-        """Demand per customer, demand total and lead times per facility."""
+        """Demand per customer (indexed by day from 1), then demand total,
+        weighted demand ``W`` and lead times per facility."""
         tables = self._draws.get(replication)
         if tables is None:
             tables = self._draws[replication] = self._draw(replication)
@@ -158,13 +179,16 @@ class _Scenario:
         history, horizon = self.history, self.horizon
         demand = []
         total_demand = [0] * len(self.ids)
+        weighted_demand = [0] * len(self.ids)
+        weights = np.arange(horizon, 0, -1)
         for i, fid in zip(self.customers, self.network.customer_ids):
             rng = StreamKey(self.base_seed, replication, fid,
                             StreamPurpose.DEMAND).generator()
-            demand_by_day = tuple(bootstrap_draw_array(
-                history.demand[fid], rng, horizon).tolist())
+            drawn = bootstrap_draw_array(history.demand[fid], rng, horizon)
+            demand_by_day = (0, *drawn.tolist())
             demand.append(demand_by_day)
             total_demand[i] = sum(demand_by_day)
+            weighted_demand[i] = int(drawn @ weights)
         leads = []
         for f in self.network.facilities:
             rng = StreamKey(self.base_seed, replication, f.id,
@@ -172,7 +196,8 @@ class _Scenario:
             deltas = bootstrap_draw_array(history.lead_delta[f.id], rng,
                                           horizon)
             leads.append(tuple((deltas + f.base_lead_time).tolist()))
-        return tuple(demand), tuple(total_demand), tuple(leads)
+        return (tuple(demand), tuple(total_demand), tuple(weighted_demand),
+                tuple(leads))
 
 
 @lru_cache(maxsize=1)
@@ -203,8 +228,9 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
         if fid not in policy.reorder_point:
             raise InvalidPolicyError(f"policy missing facility {fid}")
     upstream, upstream_name = prepared.upstream, prepared.upstream_name
-    suppliers, noncustomer = prepared.suppliers, prepared.noncustomer
-    customer_demand, total_demand, leads = prepared.draws(replication_index)
+    suppliers = prepared.suppliers
+    customer_demand, total_demand, weighted_demand, leads = \
+        prepared.draws(replication_index)
     customers = list(zip(prepared.customers, customer_demand))
     next_lead = [iter(lead).__next__ for lead in leads]
 
@@ -217,11 +243,14 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
 
     on_hand = [int(round(config.initial_inventory_fraction * b))
                for b in base_stock]
-    position = list(on_hand)
+    # trigger and held follow the identities in the module docstring.
+    trigger = list(reorder_point)
+    held = [horizon * start - weighted
+            for start, weighted in zip(on_hand, weighted_demand)]
     backorders = [0] * n
-    total_shipped = [0] * n
-    total_late = [0] * n
-    on_hand_sum = [0] * n
+    short = [0] * n
+    # Demand not shipped so far: lost sales, or else the open backlog.
+    unserved = short if lost_sales else backorders
     queues = [deque() for _ in ids]
     calendar: list[list[tuple[int, int, int]]] = [
         [] for _ in range(horizon + 1)]
@@ -231,9 +260,13 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
     if record_trace:
         daily = {fid: {"on_hand": [], "inv_position": [], "backorders": [],
                        "demand": [], "shipped": []} for fid in ids}
+        demand_rows = [(0,) * (horizon + 1)] * n
+        for f, demand_by_day in customers:
+            demand_rows[f] = demand_by_day
+        unserved_before = [0] * n
 
     next_order_id = 0
-    for day in range(1, horizon + 1):
+    for day, weight in zip(range(1, horizon + 1), range(horizon, 0, -1)):
         # Phase 1: arrivals
         arriving = calendar[day]
         if arriving:
@@ -241,36 +274,40 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                 arriving.sort(key=_DESTINATION)
             for dest, quantity, order_id in arriving:
                 on_hand[dest] += quantity
+                trigger[dest] += quantity
+                held[dest] += quantity * weight
                 if events is not None:
                     events.append((len(events), day, ids[dest], "arrive",
                                    {"order_id": order_id,
                                     "quantity": quantity}))
 
-        # Phase 2: customer service
+        # Phase 2: customer service.  An ordinary day (demand in stock, no
+        # backlog) is one store: its share of held is already in W.
         for f, demand_by_day in customers:
-            demand = demand_by_day[day - 1]
+            demand = demand_by_day[day]
             stock = on_hand[f]
-            if lost_sales:
-                shipped = demand if demand < stock else stock
+            if demand <= stock and not backorders[f]:
+                on_hand[f] = stock - demand
+                shipped = demand
             else:
-                wanted = demand + backorders[f]
-                if wanted <= stock:
-                    shipped = wanted
-                    backorders[f] = 0
+                if lost_sales:
+                    shipped = demand if demand < stock else stock
+                    short[f] += demand - shipped
                 else:
-                    shipped = stock
-                    backorders[f] = wanted - stock
-                    if demand > stock:
-                        total_late[f] += demand - stock
-            total_shipped[f] += shipped
-            on_hand[f] = stock - shipped
-            position[f] -= shipped
+                    wanted = demand + backorders[f]
+                    if wanted <= stock:
+                        shipped = wanted
+                        backorders[f] = 0
+                    else:
+                        shipped = stock
+                        backorders[f] = wanted - stock
+                        if demand > stock:
+                            short[f] += demand - stock
+                on_hand[f] = stock - shipped
+                held[f] += (demand - shipped) * weight
             if events is not None:
                 events.append((len(events), day, ids[f], "serve",
                                {"demand": demand, "shipped": shipped}))
-            if daily is not None:
-                daily[ids[f]]["demand"].append(demand)
-                daily[ids[f]]["shipped"].append(shipped)
 
         # Phase 3: replenishment fulfillment
         for f in suppliers:
@@ -313,18 +350,16 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                                     "destination": ids[dest],
                                     "arrival_day": day + lead}))
             on_hand[f] = stock
-            position[f] -= taken
+            held[f] -= taken * weight
 
-        # Phase 4: order placement, then the end-of-day record.  An order
-        # changes only the orderer's own position, so recording each
-        # facility right after its ordering step sees end-of-day values.
+        # Phase 4: order placement
         for f in range(n):
-            if position[f] <= reorder_point[f]:
+            if on_hand[f] <= trigger[f]:
                 quantity = base_stock[f] - on_hand[f]
                 if quantity > 0:
                     order_id = next_order_id
                     next_order_id += 1
-                    position[f] += quantity
+                    trigger[f] -= quantity
                     up = upstream[f]
                     if events is not None:
                         events.append((len(events), day, ids[f], "order",
@@ -345,19 +380,25 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                                             "quantity": quantity,
                                             "destination": ids[f],
                                             "arrival_day": day + lead}))
-            on_hand_sum[f] += on_hand[f]
-            if daily is not None:
-                column = daily[ids[f]]
-                column["on_hand"].append(on_hand[f])
-                column["inv_position"].append(position[f])
-                column["backorders"].append(backorders[f])
-                if f in noncustomer:
-                    column["demand"].append(0)
-                    column["shipped"].append(0)
 
+        if daily is not None:
+            for f in range(n):
+                column = daily[ids[f]]
+                demand = demand_rows[f][day]
+                column["on_hand"].append(on_hand[f])
+                column["inv_position"].append(
+                    on_hand[f] + reorder_point[f] - trigger[f])
+                column["backorders"].append(backorders[f])
+                column["demand"].append(demand)
+                # Shipped today: demand less today's growth of unserved.
+                column["shipped"].append(
+                    demand - unserved[f] + unserved_before[f])
+                unserved_before[f] = unserved[f]
+
+    total_shipped = [d - u for d, u in zip(total_demand, unserved)]
+    total_late = [0] * n if lost_sales else short
     return SimulationOutcome(
-        avg_on_hand={fid: on_hand_sum[i] / horizon
-                     for i, fid in enumerate(ids)},
+        avg_on_hand={fid: held[i] / horizon for i, fid in enumerate(ids)},
         beta={fid: _beta(choice, total_demand[i], total_shipped[i],
                          total_late[i]) for i, fid in enumerate(ids)},
         total_demand=dict(zip(ids, total_demand)),

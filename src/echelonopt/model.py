@@ -119,17 +119,20 @@ def validate_network(spec: NetworkSpec) -> list[str]:
                 (f.id, f"upstream {f.upstream!r} is not a known facility"))
 
     # Walk upstream pointers: every chain must terminate at SOURCE without
-    # revisiting a facility.
+    # revisiting a facility.  Only a loop's members walk back to
+    # themselves, and their trail is the loop, so each loop is reported
+    # once, at its first member in network order; a chain that only
+    # leads into a loop is not reported.
+    looped: set[str] = set()
     for f in spec.facilities:
         trail: set[str] = set()
         current = f.id
-        while current != SOURCE:
-            if current in trail:
-                problems.append(
-                    (f.id, f"upstream chain revisits {current!r}"))
-                break
+        while current != SOURCE and current not in trail:
             trail.add(current)
             current = upstream_of.get(current, SOURCE)
+        if current != SOURCE and current == f.id and f.id not in looped:
+            looped |= trail
+            problems.append((f.id, f"upstream chain revisits {f.id!r}"))
     return [f"facility {fid}: {message}" for fid, message in problems]
 
 

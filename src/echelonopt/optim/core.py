@@ -212,7 +212,7 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     if strategy not in searches:
         raise ValueError(f"unknown strategy {strategy!r}; "
                          "expected nelder-mead, gp, or rbf")
-    check_settings(strategy_kwargs)
+    check_settings(dict(strategy_kwargs, seed=seed))
     if x0 is not None:
         x0 = space.clip(np.asarray(x0, dtype=float))
     tracker = EvaluationTracker(objective, budget or Budget(), repair=repair,

@@ -361,15 +361,91 @@ def assert_matches_reference(network, policy, history, cfg, replication,
     want = reference_sim_network(network, policy, history, cfg, replication,
                                  record_trace=record, record_events=record)
     assert outcome_fields(got) == outcome_fields(want)
+    return got
 
 
 class TestMatchesReferenceEngine:
-    def test_invariant_fuzz_networks(self):
-        # The 1,000 networks of acceptance criterion 5, both recorders on.
+    @pytest.mark.parametrize("record", [False, True],
+                             ids=["recorders-off", "recorders-on"])
+    def test_invariant_fuzz_networks(self, record):
+        # The 1,000 networks of acceptance criterion 5.  With the recorders
+        # on, the totals kept by identity must also agree with the trace.
         rng = np.random.default_rng(424242)
         for _ in range(1000):
             net, pol, hist, cfg = _random_scenario(rng)
-            assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+            out = assert_matches_reference(net, pol, hist, cfg, 1, record)
+            if record:
+                for fid in net.ids:
+                    trace = out.trace[fid]
+                    assert (out.avg_on_hand[fid]
+                            == sum(trace["on_hand"]) / cfg.horizon)
+                    assert out.total_shipped[fid] == sum(trace["shipped"])
+
+    def test_backlog_cleared_by_same_day_arrival(self):
+        # R=15, B=30, start 27, demand 10: day 2 orders 23, due day 5.
+        # Days 3-4 build a backlog of 13; day 5's arrival of 23 clears it
+        # exactly, and day 6 is short again.
+        net = single_facility(base_lead=3)
+        pol = PolicyVector({"store": 15}, {"store": 30})
+        hist = constant_history(net, demand=10)
+        cfg = ScenarioConfig(horizon=6, replications=1, base_seed=1)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        assert out.trace["store"]["backorders"] == [0, 0, 3, 13, 0, 10]
+        assert out.trace["store"]["shipped"] == [10, 10, 7, 0, 23, 0]
+        assert out.avg_on_hand["store"] == (17 + 7) / 6
+        assert out.total_shipped["store"] == 60 - 10
+        assert out.total_late["store"] == 3 + 10 + 10
+        assert out.final_backorders["store"] == 10
+
+    def test_lost_sales_stockout_day(self):
+        # As above under lost sales: day 3 ships 7 and loses 3, day 4
+        # loses all 10, day 5's arrival of 23 leaves 13 and reorders 17.
+        net = single_facility(base_lead=3)
+        pol = PolicyVector({"store": 15}, {"store": 30})
+        hist = constant_history(net, demand=10)
+        cfg = ScenarioConfig(horizon=6, replications=1, base_seed=1,
+                             demand_choice=DemandChoice.LOST_SALES)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        assert out.trace["store"]["on_hand"] == [17, 7, 0, 0, 13, 3]
+        assert out.trace["store"]["shipped"] == [10, 10, 7, 0, 10, 10]
+        assert out.avg_on_hand["store"] == 40 / 6
+        assert out.total_shipped["store"] == 47
+        assert out.beta["store"] == 47 / 60
+        assert out.total_late["store"] == out.final_backorders["store"] == 0
+
+    def test_facility_serving_customers_and_shipping_downstream(self):
+        # The hub serves 5 a day and ships the store's orders of 20 on
+        # days 3 and 5; its own orders from SOURCE land the next morning.
+        net = NetworkSpec([
+            FacilitySpec("hub", SOURCE, 1, 0.9, True),
+            FacilitySpec("store", "hub", 1, 0.9, True),
+        ])
+        pol = PolicyVector({"hub": 20, "store": 10}, {"hub": 40, "store": 30})
+        hist = HistoryDataset(demand={"hub": [5], "store": [10]},
+                              lead_delta={"hub": [0], "store": [0]})
+        cfg = ScenarioConfig(horizon=6, replications=1, base_seed=1,
+                             initial_inventory_fraction=1.0)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        assert out.trace["hub"]["on_hand"] == [35, 30, 5, 35, 10, 35]
+        assert out.trace["store"]["on_hand"] == [20, 10, 0, 10, 0, 10]
+        assert out.avg_on_hand == {"hub": 150 / 6, "store": 50 / 6}
+        assert out.beta == {"hub": 1.0, "store": 1.0}
+
+    def test_reorder_point_equal_to_base_stock_orders_every_day(self):
+        # R = B = 20 with zero lead: each day ships 10 and orders the 10
+        # back, which lands the next morning.
+        net = single_facility(base_lead=0)
+        pol = PolicyVector({"store": 20}, {"store": 20})
+        hist = constant_history(net, demand=10)
+        cfg = ScenarioConfig(horizon=30, replications=1, base_seed=1,
+                             initial_inventory_fraction=1.0)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        orders = [e for e in out.events if e[3] == "order"]
+        assert [(e[1], e[4]["quantity"]) for e in orders] == [
+            (day, 10) for day in range(1, 31)]
+        assert out.trace["store"]["inv_position"] == [20] * 30
+        assert out.avg_on_hand["store"] == 10.0
+        assert out.beta["store"] == 1.0
 
     @pytest.mark.parametrize("choice", [DemandChoice.BACKORDER,
                                         DemandChoice.LOST_SALES])

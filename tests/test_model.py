@@ -42,8 +42,21 @@ class TestValidateNetwork:
             FacilitySpec("b", "a", 1, 0.0, False),
         ])
         assert validate_network(net) == [
-            "facility a: upstream chain revisits 'a'",
-            "facility b: upstream chain revisits 'b'"]
+            "facility a: upstream chain revisits 'a'"]
+
+    def test_each_cycle_reported_once_at_its_first_member(self):
+        # x and y only lead into the b <-> c loop, which is reported once,
+        # at b; the self-loop d gets its own message.
+        net = NetworkSpec([
+            FacilitySpec("x", "c", 1, 0.0, False),
+            FacilitySpec("b", "c", 1, 0.0, False),
+            FacilitySpec("y", "x", 1, 0.0, False),
+            FacilitySpec("c", "b", 1, 0.0, False),
+            FacilitySpec("d", "d", 1, 0.0, False),
+        ])
+        assert validate_network(net) == [
+            "facility b: upstream chain revisits 'b'",
+            "facility d: upstream chain revisits 'd'"]
 
     def test_self_loop_detected(self):
         net = NetworkSpec([FacilitySpec("a", "a", 1, 0.0, False)])

@@ -107,6 +107,15 @@ class TestSearchSettings:
                      **settings)
         assert calls == []
 
+    @pytest.mark.parametrize("strategy,kwargs,budget", STRATEGY_CASES)
+    def test_negative_seed_rejected_before_any_evaluation(self, strategy,
+                                                          kwargs, budget):
+        calls = []
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            minimize(lambda x: calls.append(x) or 0.0, SPACE_2D, budget,
+                     strategy=strategy, seed=-1, **kwargs)
+        assert calls == []
+
 
 class TestMinimizeContract:
     @pytest.mark.parametrize("strategy,kwargs,budget", STRATEGY_CASES)
