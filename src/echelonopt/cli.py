@@ -144,14 +144,11 @@ def cmd_simulate(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            columns = ["on_hand", "inv_position", "backorders", "demand",
-                       "shipped"]
-            writer.writerow(["day", "facility", *columns])
-            for fid in cfg.network.ids:
-                t = outcome.trace[fid]
-                for day in range(scenario.horizon):
-                    writer.writerow([day + 1, fid,
-                                     *(t[c][day] for c in columns)])
+            trace = outcome.trace
+            writer.writerow(["day", "facility", *trace[cfg.network.ids[0]]])
+            for fid, columns in trace.items():
+                for day, row in enumerate(zip(*columns.values()), 1):
+                    writer.writerow([day, fid, *row])
         print(f"trace written to {path}")
     return 0
 
@@ -233,7 +230,7 @@ def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
         "cpu_time_minutes": result.run.cpu_time_s / 60.0,
         "feasible": result.report.feasible,
         "mean_beta": result.report.mean_beta,
-        "settings": result.settings,
+        "settings": settings,
     })
     return result, paths
 
@@ -304,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
     policy.add_argument("--policy", help="policy JSON file (default: config "
                         "initial_policy)")
     choice = group()
-    choice.add_argument("--choice", choices=["backorder", "lost-sales"])
+    choices = [c.value for c in DemandChoice]
+    choice.add_argument("--choice", choices=choices)
     replications = group()
     replications.add_argument("--replications", type=int)
     budget = group()
@@ -337,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--strategy", choices=list(STRATEGIES),
                    help="limit the comparison to one strategy")
-    p.add_argument("--choice", choices=["backorder", "lost-sales", "both"])
+    p.add_argument("--choice", choices=[*choices, "both"])
     return parser
 
 

@@ -80,11 +80,21 @@ def _reject_unknown(raw: dict, known, context: str,
                           f"{what}: {sorted(known)}")
 
 
+def _float(value, context: str) -> float:
+    """``float(value)``; a number too large for a float raises."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{context}: number too large for a "
+                          "float") from None
+
+
 def _integer(value, context: str) -> int:
-    """``value`` as an int; fractions, strings and booleans raise."""
+    """``value`` as an int in float range; fractions, strings, bools raise."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
     if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        _float(value, context)
         return int(value)
     raise ConfigError(f"{context}: expected an integer, got {value!r}")
 
@@ -92,7 +102,7 @@ def _integer(value, context: str) -> int:
 def _number(value, context: str) -> float:
     """``value`` as a finite float; strings, booleans and null raise."""
     if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value)):
+            and math.isfinite(_float(value, context))):
         return float(value)
     raise ConfigError(f"{context}: expected a finite number, got {value!r}")
 
@@ -112,7 +122,7 @@ def _load_network(raw: dict) -> NetworkSpec:
         _reject_unknown(entry, ("id", "upstream", "base_lead_time",
                                 "target_beta", "serves_customers"),
                         f"facility {fid}")
-        serves = entry.get("serves_customers", False)
+        serves = entry.get("serves_customers", FacilitySpec.serves_customers)
         if not isinstance(serves, bool):
             raise ConfigError(f"facility {fid}.serves_customers: expected "
                               f"true or false, got {serves!r}")
@@ -122,8 +132,9 @@ def _load_network(raw: dict) -> NetworkSpec:
             base_lead_time=_integer(
                 _require(entry, "base_lead_time", "facility"),
                 f"facility {fid}.base_lead_time"),
-            target_beta=_number(entry.get("target_beta", 0.0),
-                                f"facility {fid}.target_beta"),
+            target_beta=_number(
+                entry.get("target_beta", FacilitySpec.target_beta),
+                f"facility {fid}.target_beta"),
             serves_customers=serves,
         ))
     network = NetworkSpec(facilities)
@@ -137,12 +148,14 @@ def _load_scenario(raw: dict) -> ScenarioConfig:
     ints = ("horizon", "replications", "base_seed")
     floats = ("penalty_rho", "initial_inventory_fraction")
     _reject_unknown(raw, (*ints, *floats, "demand_choice"), "scenario")
-    choice = str(raw.get("demand_choice", "backorder")).lower()
+    choice = str(raw.get("demand_choice",
+                         ScenarioConfig.demand_choice.value)).lower()
     try:
         demand_choice = DemandChoice(choice)
     except ValueError:
+        names = " or ".join(repr(c.value) for c in DemandChoice)
         raise ConfigError(f"scenario: demand_choice {choice!r} must be "
-                          "'backorder' or 'lost-sales'") from None
+                          f"{names}") from None
     values = {key: _integer(raw[key], f"scenario.{key}")
               for key in ints if key in raw}
     values.update({key: _number(raw[key], f"scenario.{key}")
@@ -220,7 +233,8 @@ def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
                                 SeriesParams)
               for key, ids in (("demand", network.customer_ids),
                                ("lead_delta", network.ids))}
-    length = _integer(raw.get("length", 360), "generator.length")
+    length = _integer(raw.get("length", HistoryGenParams.length),
+                      "generator.length")
     try:
         return HistoryGenParams(**series, length=length)
     except ValueError as exc:
@@ -318,6 +332,8 @@ def _read_series(history_dir: str | Path, series: str,
         return np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
     except ValueError:
         raise ConfigError(f"{path}: non-integer value in series") from None
+    except OverflowError:
+        raise ConfigError(f"{path}: value outside the int64 range") from None
 
 
 def write_history(history: HistoryDataset, out_dir: str | Path) -> list[Path]:

@@ -100,9 +100,8 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
-
-import numpy as np
 
 from .model import (
     SOURCE,
@@ -161,7 +160,6 @@ class _Scenario:
         self.upstream = tuple(-1 if f.upstream == SOURCE
                               else position_of[f.upstream]
                               for f in network.facilities)
-        self.upstream_name = tuple(f.upstream for f in network.facilities)
         self.suppliers = tuple(sorted(set(self.upstream) - {-1}))
         self.customers = tuple(position_of[fid]
                                for fid in network.customer_ids)
@@ -180,7 +178,6 @@ class _Scenario:
         demand = []
         total_demand = [0] * len(self.ids)
         weighted_demand = [0] * len(self.ids)
-        weights = np.arange(horizon, 0, -1)
         for i, fid in zip(self.customers, self.network.customer_ids):
             rng = StreamKey(self.base_seed, replication, fid,
                             StreamPurpose.DEMAND).generator()
@@ -188,7 +185,9 @@ class _Scenario:
             demand_by_day = (0, *drawn.tolist())
             demand.append(demand_by_day)
             total_demand[i] = sum(demand_by_day)
-            weighted_demand[i] = int(drawn @ weights)
+            # day d's demand is in horizon + 1 - d running totals; Python
+            # ints, so W cannot overflow
+            weighted_demand[i] = sum(accumulate(demand_by_day))
         leads = []
         for f in self.network.facilities:
             rng = StreamKey(self.base_seed, replication, f.id,
@@ -200,10 +199,7 @@ class _Scenario:
                 tuple(leads))
 
 
-@lru_cache(maxsize=1)
-def _prepare(network: NetworkSpec, history: HistoryDataset, horizon: int,
-             base_seed: int) -> _Scenario:
-    return _Scenario(network, history, horizon, base_seed)
+_prepare = lru_cache(maxsize=1)(_Scenario)
 
 
 def sim_network(network: NetworkSpec, policy: PolicyVector,
@@ -227,8 +223,7 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
     for fid in ids:
         if fid not in policy.reorder_point:
             raise InvalidPolicyError(f"policy missing facility {fid}")
-    upstream, upstream_name = prepared.upstream, prepared.upstream_name
-    suppliers = prepared.suppliers
+    upstream, suppliers = prepared.upstream, prepared.suppliers
     customer_demand, total_demand, weighted_demand, leads = \
         prepared.draws(replication_index)
     customers = list(zip(prepared.customers, customer_demand))
@@ -290,9 +285,9 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                 on_hand[f] = stock - demand
                 shipped = demand
             else:
-                if lost_sales:
-                    shipped = demand if demand < stock else stock
-                    short[f] += demand - shipped
+                if lost_sales:  # so demand > stock
+                    shipped = stock
+                    short[f] += demand - stock
                 else:
                     wanted = demand + backorders[f]
                     if wanted <= stock:
@@ -362,10 +357,9 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                     trigger[f] -= quantity
                     up = upstream[f]
                     if events is not None:
-                        events.append((len(events), day, ids[f], "order",
-                                       {"order_id": order_id,
-                                        "quantity": quantity,
-                                        "upstream": upstream_name[f]}))
+                        events.append((len(events), day, ids[f], "order", {
+                            "order_id": order_id, "quantity": quantity,
+                            "upstream": network.facilities[f].upstream}))
                     if up >= 0:
                         queues[up].append([quantity, f, order_id, None])
                     else:

@@ -51,11 +51,10 @@ def make_policy_objective(network: NetworkSpec, history: HistoryDataset,
 
 @dataclass
 class StrategyResult:
-    """One strategy's run, the report on its best policy, its settings."""
+    """One strategy's run and the report on its best policy."""
 
     run: OptimizerRun
     report: ObjectiveReport  # kept when the run scored its best point
-    settings: dict  # the run's defaults merged with what the caller gave
 
     @property
     def initial_z(self) -> float:
@@ -80,8 +79,7 @@ def run_strategy(strategy: str, network: NetworkSpec,
     the seed are taken out of the merged settings; the rest go to the
     search.  Every strategy scores the initial policy first.
     """
-    merged = merge_optimizer_settings(strategy, settings or {})
-    search = dict(merged)
+    search = merge_optimizer_settings(strategy, settings or {})
     budget = Budget(search.pop("max_evaluations"), search.pop("max_minutes"))
     seed = search.pop("seed")
     best: list[ObjectiveReport] = []
@@ -91,7 +89,7 @@ def run_strategy(strategy: str, network: NetworkSpec,
                    repair=lambda x: repair_policy_array(x, space.lower,
                                                         space.upper),
                    log=log, **search)
-    return StrategyResult(run=run, report=best[0], settings=merged)
+    return StrategyResult(run=run, report=best[0])
 
 
 def comparison_table(results: list[StrategyResult],

@@ -234,7 +234,11 @@ class HistoryDataset:
 
 
 def _frozen_samples(fid: str, values) -> np.ndarray:
-    arr = np.array(values, dtype=np.int64)
+    try:
+        arr = np.array(values, dtype=np.int64)
+    except OverflowError:
+        raise ValueError(f"facility {fid}: history samples must fit in "
+                         "int64") from None
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"facility {fid}: history must be a nonempty 1-D list")
     if (arr < 0).any():

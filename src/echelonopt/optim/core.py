@@ -5,10 +5,10 @@ owns a run: it builds the one evaluation tracker, hands it to the chosen
 strategy's search loop, and when the budget runs out it unwinds the
 search and reports the best point found.  A search loop only proposes
 points inside the box and scores them by calling the tracker.  The
-tracker applies the optional ``repair`` hook (integer rounding and
-B >= R enforcement for inventory policies) to each proposal right before
-evaluation, so reported points are the repaired ones.  It checks the
-wall time before each evaluation, stops the search right after the last
+tracker scores ``preview(x)``, the proposal after the optional
+``repair`` hook (integer rounding and B >= R enforcement for inventory
+policies), so reported points are the repaired ones.  It checks the wall
+time before each evaluation, stops the search right after the last
 allowed evaluation, rejects a value that is not finite, keeps every
 point and value as the run's only record, and streams one log record
 per evaluation to an optional sink.
@@ -16,6 +16,7 @@ per evaluation to an optional sink.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -65,6 +66,13 @@ class SearchSpace:
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
 
+    def to_unit(self, x) -> np.ndarray:
+        """Point(s) in unit-box coordinates: lower -> 0, upper -> 1."""
+        return (np.asarray(x, dtype=float) - self.lower) / self.span
+
+    def from_unit(self, u: np.ndarray) -> np.ndarray:
+        return self.lower + u * self.span
+
     def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(self.lower, self.upper, size=(n, self.dim))
 
@@ -72,7 +80,7 @@ class SearchSpace:
         """n space-filling points: one uniform draw per stratum per axis."""
         u = (rng.permuted(np.tile(np.arange(n), (self.dim, 1)), axis=1).T
              + rng.uniform(size=(n, self.dim))) / n
-        return self.lower + u * self.span
+        return self.from_unit(u)
 
 
 @dataclass(frozen=True)
@@ -87,7 +95,7 @@ class Budget:
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-            if not np.isfinite(value):
+            if not value < math.inf:  # NaN or inf; ints of any size pass
                 raise ValueError(f"{name} must be finite, got {value}")
 
 
@@ -157,9 +165,7 @@ class EvaluationTracker:
     def __call__(self, x: np.ndarray) -> float:
         if self.elapsed() >= self.budget.max_minutes * 60.0:
             raise _StopSearch()  # finish raises if nothing was evaluated
-        x = np.asarray(x, dtype=float)
-        if self.repair is not None:
-            x = np.asarray(self.repair(x), dtype=float)
+        x = self.preview(x)
         value = float(self.objective(x))
         if not np.isfinite(value):
             raise NonFiniteObjectiveError(
@@ -211,7 +217,7 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
                 "gp": gp.gp_optimize, "rbf": rbf.rbf_optimize}
     if strategy not in searches:
         raise ValueError(f"unknown strategy {strategy!r}; "
-                         "expected nelder-mead, gp, or rbf")
+                         f"expected one of {', '.join(searches)}")
     check_settings(dict(strategy_kwargs, seed=seed))
     if x0 is not None:
         x0 = space.clip(np.asarray(x0, dtype=float))

@@ -59,9 +59,6 @@ class CubicRbfSurrogate:
     def __init__(self, space: SearchSpace):
         self.space = space
 
-    def _to_unit(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.space.lower) / self.space.span
-
     def fit(self, x: np.ndarray, y: np.ndarray) -> "CubicRbfSurrogate":
         x = np.atleast_2d(np.asarray(x, dtype=float))
         y = np.asarray(y, dtype=float)
@@ -72,7 +69,7 @@ class CubicRbfSurrogate:
             self._y_scale = 1.0
         yn = (y - self._y_mean) / self._y_scale
 
-        u = self._to_unit(x)
+        u = self.space.to_unit(x)
         self._u_train = u
         phi = cdist(u, u) ** 3
         tail = np.hstack([u, np.ones((n, 1))])
@@ -111,8 +108,7 @@ class CubicRbfSurrogate:
         return float(np.abs(pred - yn).max())
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        u = self._to_unit(x)
+        u = self.space.to_unit(np.atleast_2d(x))
         r = cdist(u, self._u_train)
         yn = (r ** 3) @ self.weights + u @ self.tail_coef[:-1] \
             + self.tail_coef[-1]
@@ -121,7 +117,7 @@ class CubicRbfSurrogate:
     def gradient(self, x: np.ndarray) -> np.ndarray:
         # grad phi(|u - ui|) = 3 |u - ui| (u - ui); chain rule maps the
         # unit-box gradient back to original coordinates.
-        u = self._to_unit(np.asarray(x, dtype=float))
+        u = self.space.to_unit(x)
         diff = u[None, :] - self._u_train
         r = np.sqrt(np.sum(diff * diff, axis=1))
         grad_u = 3.0 * ((self.weights * r) @ diff) + self.tail_coef[:-1]
@@ -196,7 +192,7 @@ def _explore(evaluated_unit: np.ndarray, space: SearchSpace,
     candidates = rng.uniform(size=(EXPLORE_CANDIDATES, space.dim))
     min_dist = cdist(candidates, evaluated_unit).min(axis=1)
     best = candidates[int(np.argmax(min_dist))]
-    return space.lower + best * space.span
+    return space.from_unit(best)
 
 
 def rbf_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
@@ -205,15 +201,12 @@ def rbf_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
     rng = np.random.default_rng(seed)
     dim = space.dim
 
-    def unit(points) -> np.ndarray:
-        return (np.array(points) - space.lower) / space.span
-
     def dedupe(candidate: np.ndarray) -> np.ndarray:
         """Nudge a proposal off already-evaluated points."""
-        u_train = unit(tracker.points)
+        u_train = space.to_unit(tracker.points)
         for attempt in range(16):
-            gap = np.max(np.abs(u_train - unit([tracker.preview(candidate)])),
-                         axis=1).min()
+            u = space.to_unit(tracker.preview(candidate))
+            gap = np.max(np.abs(u_train - u), axis=1).min()
             if gap >= MIN_SEPARATION:
                 return candidate
             width = 0.01 * (attempt + 1)
@@ -262,6 +255,6 @@ def rbf_optimize(tracker: EvaluationTracker, space: SearchSpace, *,
                 logger.debug("rbf exploit at evaluation %d: %s; exploring "
                              "instead", tracker.evaluations, exc)
         if candidate is None:
-            candidate = _explore(unit(tracker.points), space, rng)
+            candidate = _explore(space.to_unit(tracker.points), space, rng)
         tracker(dedupe(candidate))
         move += 1

@@ -280,7 +280,9 @@ class TestBadFlagValues:
         ("--seed", "-5", "base_seed must be >= 0"),
         ("--max-minutes", "nan", "--max-minutes: max_minutes must be finite"),
         ("--max-minutes", "inf", "--max-minutes: max_minutes must be finite"),
-    ], ids=["negative-seed", "nan-minutes", "inf-minutes"])
+        ("--max-evals", str(10**400),
+         "max_evaluations: number too large for a float"),
+    ], ids=["negative-seed", "nan-minutes", "inf-minutes", "huge-evals"])
     def test_fails_before_any_file(self, config_path, history_dir, tmp_path,
                                    command, flag, value, named, capsys):
         out = tmp_path / "bad"
@@ -626,8 +628,10 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("path,context", INTEGER_FIELDS)
     @pytest.mark.parametrize("change", [lambda v: v + 0.7, str,
-                                        lambda v: None, lambda v: True],
-                             ids=["fraction", "string", "null", "bool"])
+                                        lambda v: None, lambda v: True,
+                                        lambda v: 10**400],
+                             ids=["fraction", "string", "null", "bool",
+                                  "beyond-float"])
     def test_integer_field_takes_only_integers(self, tmp_path, path,
                                                context, change):
         from echelonopt.config import ConfigError, load_config
@@ -680,8 +684,10 @@ class TestConfigValidation:
     @pytest.mark.parametrize("change", [lambda v: True, str,
                                         lambda v: None,
                                         lambda v: float("nan"),
-                                        lambda v: float("inf")],
-                             ids=["bool", "string", "null", "nan", "inf"])
+                                        lambda v: float("inf"),
+                                        lambda v: 10**400],
+                             ids=["bool", "string", "null", "nan", "inf",
+                                  "beyond-float"])
     def test_float_field_takes_only_finite_numbers(self, tmp_path, path,
                                                    context, read, change):
         from echelonopt.config import ConfigError, load_config
@@ -835,6 +841,13 @@ class TestConfigValidation:
         pytest.param("optimize", None, ("demand_1.csv", "demand\n-3\n"),
                      "history samples must be nonnegative",
                      id="history-negative"),
+        pytest.param("optimize", None, ("demand_1.csv", "demand\n"),
+                     "facility 1: history must be a nonempty 1-D list",
+                     id="history-header-only"),
+        pytest.param("optimize", None,
+                     ("demand_1.csv", "demand\n99999999999999999999\n"),
+                     "demand_1.csv: value outside the int64 range",
+                     id="history-beyond-int64"),
     ]
 
     @pytest.mark.parametrize("command,edit,history,fragment", BAD_INPUTS)

@@ -397,6 +397,19 @@ class TestMatchesReferenceEngine:
         assert out.total_late["store"] == 3 + 10 + 10
         assert out.final_backorders["store"] == 10
 
+    @pytest.mark.parametrize("rop,base", [(0, 0), (10**15, 3 * 10**15)],
+                             ids=["no-stock", "stocked"])
+    def test_weighted_demand_beyond_int64(self, rop, base):
+        # 10**15 units a day over 360 days give W = 10**15 x 360 x 361 / 2,
+        # about 6.5e19, past int64; held stays an exact integer.
+        net = single_facility()
+        pol = PolicyVector({"store": rop}, {"store": base})
+        hist = constant_history(net, demand=10**15)
+        cfg = ScenarioConfig(horizon=360, replications=1, base_seed=1)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, record=False)
+        if base == 0:
+            assert out.avg_on_hand["store"] == 0.0
+
     def test_lost_sales_stockout_day(self):
         # As above under lost sales: day 3 ships 7 and loses 3, day 4
         # loses all 10, day 5's arrival of 23 leaves 13 and reorders 17.

@@ -5,6 +5,7 @@ import numpy as np
 from echelonopt import harness
 from echelonopt.config import STRATEGIES
 from echelonopt.harness import (
+    StrategyResult,
     comparison_table,
     derive_strategy_seed,
     format_table,
@@ -19,7 +20,7 @@ from echelonopt.model import (
     ScenarioConfig,
 )
 from echelonopt.objective import evaluate
-from echelonopt.optim import SearchSpace
+from echelonopt.optim import OptimizerRun, SearchSpace
 
 
 def test_strategy_seeds_disjoint_and_stable():
@@ -75,6 +76,12 @@ def test_run_strategy_evaluates_only_the_run_and_its_best(monkeypatch):
     assert calls[0] == policy
     assert result.initial_z == result.run.evaluated_values[0]
     assert result.report.z == result.run.best_value
+
+
+def test_reduction_from_an_initial_z_of_zero_is_zero():
+    run = OptimizerRun("rbf", np.zeros(2), 0.0, np.zeros(3), 3, 0.1, 0.1,
+                       np.zeros((3, 2)), np.zeros(3))
+    assert StrategyResult(run=run, report=None).reduction_pct == 0.0
 
 
 def test_comparison_table_layout_and_alignment():

@@ -147,6 +147,14 @@ class TestPolicyVector:
     def test_equal_base_and_reorder_allowed(self):
         PolicyVector({"a": 7}, {"a": 7})
 
+    def test_maps_over_different_facilities_rejected(self):
+        with pytest.raises(ValueError, match="cover different facilities"):
+            PolicyVector({"a": 1, "b": 1}, {"a": 2})
+
+    def test_array_of_the_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="expected 10 values, got 9"):
+            PolicyVector.from_array(five_facility_network(), np.zeros(9))
+
 
 class TestScenarioConfig:
     def test_defaults_valid(self):
@@ -251,6 +259,31 @@ class TestHistoryDataset:
         with pytest.raises(ValueError):
             history.demand["a"][0] = 7
         assert set(history.demand) == {"a"}
+
+    @pytest.mark.parametrize("samples,message", [
+        ([], "nonempty 1-D"),
+        ([[1, 2]], "nonempty 1-D"),
+        ([-1], "nonnegative"),
+        ([10**20], "fit in int64"),
+    ], ids=["empty", "2-D", "negative", "beyond-int64"])
+    def test_bad_samples_rejected(self, samples, message):
+        with pytest.raises(ValueError, match=f"facility a: .*{message}"):
+            HistoryDataset(demand={"a": samples}, lead_delta={"a": [0]})
+
+    @pytest.mark.parametrize("series,message", [
+        ("demand", "no demand history for customer facility 4"),
+        ("lead_delta", "no lead-delta history for facility 4"),
+    ])
+    def test_require_covers_names_the_missing_series(self, series,
+                                                     message):
+        net = five_facility_network()
+        full = {fid: [1] for fid in net.ids}
+        HistoryDataset(demand=full, lead_delta=full).require_covers(net)
+        partial = {fid: [1] for fid in net.ids if fid != "4"}
+        history = HistoryDataset(**{"demand": full, "lead_delta": full,
+                                    series: partial})
+        with pytest.raises(ValueError, match=message):
+            history.require_covers(net)
 
     def test_equality_and_hash_are_by_identity(self):
         def make():

@@ -30,6 +30,10 @@ DUMMY_POLICY = PolicyVector({"a": 0, "b": 0}, {"a": 1, "b": 1})
 
 
 class TestAggregation:
+    def test_no_outcomes_rejected(self):
+        with pytest.raises(ValueError, match="at least one replication"):
+            aggregate_outcomes([], targets={}, rho=1e6, policy=DUMMY_POLICY)
+
     def test_zero_violation_sums_on_hand(self):
         report = aggregate_outcomes(
             [outcome({"a": 100.0, "b": 50.0}, {"a": 0.99, "b": 0.97})],

@@ -9,6 +9,7 @@ from echelonopt.optim import (
     Budget,
     BudgetExhaustedError,
     CubicRbfSurrogate,
+    EvaluationTracker,
     GaussianProcess,
     NonFiniteObjectiveError,
     SearchSpace,
@@ -34,6 +35,20 @@ class TestSearchSpace:
     def test_rejects_inverted_bounds(self):
         with pytest.raises(ValueError):
             SearchSpace([0.0, 5.0], [10.0, 5.0])
+
+    @pytest.mark.parametrize("lower,upper", [
+        ([0.0], [1.0, 2.0]),
+        ([[0.0, 0.0]], [[1.0, 1.0]]),
+    ], ids=["lengths", "2-D"])
+    def test_rejects_incongruent_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="1-D and congruent"):
+            SearchSpace(lower, upper)
+
+    def test_unit_box_maps(self):
+        space = SearchSpace(np.array([0.0, -2.0]), np.array([8.0, 2.0]))
+        assert space.to_unit([[0.0, -2.0], [8.0, 2.0], [2.0, 0.0]]).tolist() \
+            == [[0.0, 0.0], [1.0, 1.0], [0.25, 0.5]]
+        assert space.from_unit(np.array([0.25, 0.5])).tolist() == [2.0, 0.0]
 
     def test_latin_hypercube_strata(self):
         space = SearchSpace(np.array([0.0, -2.0]), np.array([8.0, 2.0]))
@@ -65,6 +80,10 @@ class TestBudget:
         with pytest.raises(ValueError,
                            match=f"max_minutes must be finite, got {value}"):
             Budget(max_minutes=value)
+
+    @pytest.mark.parametrize("value", [10**20, 10**400])
+    def test_integer_beyond_int64_accepted(self, value):
+        assert Budget(max_evaluations=value).max_evaluations == value
 
 
 STRATEGY_CASES = [
@@ -170,8 +189,20 @@ class TestMinimizeContract:
             minimize(quadratic, SPACE_2D, budget, strategy="rbf", seed=0)
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match="expected one of nelder-mead, gp, rbf"):
             minimize(quadratic, SPACE_2D, Budget(), strategy="annealing")
+
+    def test_tracker_scores_its_preview(self, monkeypatch):
+        # rbf and gp rank candidates by preview(x): evaluation must score
+        # exactly that point
+        monkeypatch.setattr(EvaluationTracker, "preview",
+                            lambda self, x: np.asarray(x) + 1.0)
+        seen = []
+        tracker = EvaluationTracker(lambda x: seen.append(x) or 0.0,
+                                    Budget(max_evaluations=5))
+        tracker(np.array([1.0, 2.0]))
+        assert seen[0].tolist() == tracker.points[0].tolist() == [2.0, 3.0]
 
     def test_log_sink_sees_every_evaluation(self):
         records = []
@@ -260,6 +291,15 @@ class TestGaussianProcess:
         scale = max(1.0, float(np.abs(y).max()))
         assert np.abs(mu - y).max() <= 1e-5 * scale
         assert np.all(sigma ** 2 <= gp.jitter_ * gp._y_scale ** 2 + 1e-9)
+
+    def test_constant_targets_keep_a_unit_scale(self):
+        space = SearchSpace(np.zeros(2), np.full(2, 1.0))
+        rng = np.random.default_rng(5)
+        x = space.latin_hypercube(rng, 8)
+        gp = GaussianProcess(space).fit(x, np.full(8, 42.0))
+        assert gp._y_scale == 1.0
+        mu, _ = gp.predict(space.sample(rng, 30))
+        assert np.all(mu == 42.0)
 
     def test_kappa_zero_reduces_to_posterior_mean(self):
         space = SearchSpace(np.zeros(2), np.full(2, 1.0))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -161,6 +163,13 @@ class TestSyntheticHistory:
         with pytest.raises(ValueError):
             generate_synthetic_history(two_facility_network(),
                                        self.params(50.0, 5.0), seed=-1)
+
+    def test_missing_lead_delta_params_rejected(self):
+        with pytest.raises(InvalidParamsError,
+                           match="no lead-delta params for facility hub"):
+            generate_synthetic_history(
+                two_facility_network(),
+                replace(self.params(), lead_delta={}), seed=1)
 
     def test_missing_facility_params_rejected(self):
         net = two_facility_network()
