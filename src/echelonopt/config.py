@@ -16,8 +16,10 @@ import csv
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -107,6 +109,48 @@ def _number(value, context: str) -> float:
     raise ConfigError(f"{context}: expected a finite number, got {value!r}")
 
 
+def _boolean(value, context: str) -> bool:
+    if isinstance(value, bool):
+        return value
+    raise ConfigError(f"{context}: expected true or false, got {value!r}")
+
+
+def _demand_choice(value, context: str) -> DemandChoice:
+    """``value`` as a DemandChoice, ignoring case."""
+    choice = str(value).lower()
+    try:
+        return DemandChoice(choice)
+    except ValueError:
+        names = " or ".join(repr(c.value) for c in DemandChoice)
+        raise ConfigError(f"{context}: {choice!r} must be {names}") from None
+
+
+_READERS = {int: _integer, float: _number, bool: _boolean,
+            str: lambda value, context: str(value),
+            DemandChoice: _demand_choice}
+
+
+def _read(cls, raw, context: str, **readers):
+    """``cls`` built from the JSON object ``raw``, one key per field.
+
+    Each value goes through ``readers[name]`` if given, else the reader
+    for its field's annotated type.  A field without a default must be
+    given; the others take ``cls``'s default.  An unknown key, or a
+    ValueError from ``cls`` itself, raises ConfigError naming ``context``.
+    """
+    types = get_type_hints(cls)
+    _reject_unknown(raw, types, context)
+    for field in fields(cls):
+        if field.default is MISSING:
+            _require(raw, field.name, context)
+    values = {name: (readers.get(name) or _READERS[types[name]])(
+        value, f"{context}.{name}") for name, value in raw.items()}
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"{context}: {exc}") from None
+
+
 def _load_network(raw: dict) -> NetworkSpec:
     _reject_unknown(raw, ("facilities",), "network")
     entries = _require(raw, "facilities", "network")
@@ -118,25 +162,8 @@ def _load_network(raw: dict) -> NetworkSpec:
         if not isinstance(entry, dict):
             raise ConfigError(f"network.facilities[{i}]: expected an "
                               f"object, got {entry!r}")
-        fid = str(_require(entry, "id", "facility"))
-        _reject_unknown(entry, ("id", "upstream", "base_lead_time",
-                                "target_beta", "serves_customers"),
-                        f"facility {fid}")
-        serves = entry.get("serves_customers", FacilitySpec.serves_customers)
-        if not isinstance(serves, bool):
-            raise ConfigError(f"facility {fid}.serves_customers: expected "
-                              f"true or false, got {serves!r}")
-        facilities.append(FacilitySpec(
-            id=fid,
-            upstream=str(_require(entry, "upstream", "facility")),
-            base_lead_time=_integer(
-                _require(entry, "base_lead_time", "facility"),
-                f"facility {fid}.base_lead_time"),
-            target_beta=_number(
-                entry.get("target_beta", FacilitySpec.target_beta),
-                f"facility {fid}.target_beta"),
-            serves_customers=serves,
-        ))
+        fid = _require(entry, "id", "facility")
+        facilities.append(_read(FacilitySpec, entry, f"facility {fid}"))
     network = NetworkSpec(facilities)
     violations = validate_network(network)
     if violations:
@@ -144,56 +171,29 @@ def _load_network(raw: dict) -> NetworkSpec:
     return network
 
 
-def _load_scenario(raw: dict) -> ScenarioConfig:
-    ints = ("horizon", "replications", "base_seed")
-    floats = ("penalty_rho", "initial_inventory_fraction")
-    _reject_unknown(raw, (*ints, *floats, "demand_choice"), "scenario")
-    choice = str(raw.get("demand_choice",
-                         ScenarioConfig.demand_choice.value)).lower()
-    try:
-        demand_choice = DemandChoice(choice)
-    except ValueError:
-        names = " or ".join(repr(c.value) for c in DemandChoice)
-        raise ConfigError(f"scenario: demand_choice {choice!r} must be "
-                          f"{names}") from None
-    values = {key: _integer(raw[key], f"scenario.{key}")
-              for key in ints if key in raw}
-    values.update({key: _number(raw[key], f"scenario.{key}")
-                   for key in floats if key in raw})
-    try:
-        return ScenarioConfig(demand_choice=demand_choice, **values)
-    except ValueError as exc:
-        raise ConfigError(f"scenario: {exc}") from None
-
-
-def _by_facility(raw, ids, context: str, fields: dict, build=dict) -> dict:
-    """``{fid: build(**entry)}`` for each id of a per-facility map.
-
-    ``raw`` must give exactly ``ids``, each entry exactly the keys of
-    ``fields`` (key -> reader taking the value and its context).
-    """
+def _by_facility(ids, read, raw, context: str) -> dict:
+    """``{fid: read(entry, context[fid])}`` for each id of a per-facility
+    map; ``raw`` must give exactly ``ids``."""
     _reject_unknown(raw, ids, context, "facilities")
-    built = {}
-    for fid in ids:
-        where = f"{context}[{fid}]"
-        entry = _require(raw, fid, context)
-        _reject_unknown(entry, fields, where)
-        values = {key: read(_require(entry, key, where), f"{where}.{key}")
-                  for key, read in fields.items()}
-        try:
-            built[fid] = build(**values)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from None
-    return built
+    return {fid: read(_require(raw, fid, context), f"{context}[{fid}]")
+            for fid in ids}
 
 
-POLICY_KEYS = ("reorder_point", "base_stock")
+POLICY_KEYS = tuple(field.name for field in fields(PolicyVector))
+
+
+def _pair(read, entry, context: str) -> dict:
+    """``{key: read(entry[key])}`` for ``POLICY_KEYS``, the only keys of
+    ``entry``."""
+    _reject_unknown(entry, POLICY_KEYS, context)
+    return {key: read(_require(entry, key, context), f"{context}.{key}")
+            for key in POLICY_KEYS}
 
 
 def _load_policy(raw: dict, network: NetworkSpec,
                  context: str) -> PolicyVector:
-    entries = _by_facility(raw, network.ids, context,
-                           dict.fromkeys(POLICY_KEYS, _integer))
+    entries = _by_facility(network.ids, partial(_pair, _integer), raw,
+                           context)
     try:
         return PolicyVector(*({fid: entry[key] for fid, entry
                                in entries.items()} for key in POLICY_KEYS))
@@ -210,35 +210,26 @@ def _bound(value, context: str) -> tuple[int, int]:
                       "0 <= lo < hi")
 
 
-def _box(reorder_point, base_stock):
+def _box(entry, context: str) -> tuple:
+    reorder_point, base_stock = _pair(_bound, entry, context).values()
     if base_stock[1] < reorder_point[1]:
-        raise ValueError(f"base_stock upper bound {base_stock[1]} below "
-                         f"reorder_point upper bound {reorder_point[1]}; "
-                         "the B >= R repair could leave the box")
+        raise ConfigError(f"{context}: base_stock upper bound {base_stock[1]} "
+                          f"below reorder_point upper bound "
+                          f"{reorder_point[1]}; the B >= R repair could "
+                          "leave the box")
     return reorder_point, base_stock
 
 
 def _load_space(raw: dict, network: NetworkSpec) -> SearchSpace:
-    boxes = _by_facility(raw, network.ids, "bounds",
-                         dict.fromkeys(POLICY_KEYS, _bound), _box).values()
-    rop, base = zip(*boxes)
+    rop, base = zip(*_by_facility(network.ids, _box, raw, "bounds").values())
     return SearchSpace(*np.array(rop + base, dtype=float).T)
 
 
 def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
-    _reject_unknown(raw, ("demand", "lead_delta", "length"), "generator")
-    series = {key: _by_facility(_require(raw, key, "generator"), ids,
-                                f"generator.{key}",
-                                dict.fromkeys(("mean", "spread"), _number),
-                                SeriesParams)
-              for key, ids in (("demand", network.customer_ids),
-                               ("lead_delta", network.ids))}
-    length = _integer(raw.get("length", HistoryGenParams.length),
-                      "generator.length")
-    try:
-        return HistoryGenParams(**series, length=length)
-    except ValueError as exc:
-        raise ConfigError(f"generator: {exc}") from None
+    entry = partial(_read, SeriesParams)
+    return _read(HistoryGenParams, raw, "generator",
+                 demand=partial(_by_facility, network.customer_ids, entry),
+                 lead_delta=partial(_by_facility, network.ids, entry))
 
 
 def merge_optimizer_settings(strategy: str, given: dict) -> dict:
@@ -288,7 +279,7 @@ def load_config(path: str | Path) -> LoadedConfig:
     _reject_unknown(raw, ("network", "scenario", "initial_policy", "bounds",
                           "generator", "optimizers"), "config")
     network = _load_network(_require(raw, "network", "config"))
-    scenario = _load_scenario(raw.get("scenario", {}))
+    scenario = _read(ScenarioConfig, raw.get("scenario", {}), "scenario")
     policy = _load_policy(_require(raw, "initial_policy", "config"),
                           network, "initial_policy")
     space = _load_space(_require(raw, "bounds", "config"), network)

@@ -194,7 +194,9 @@ class _Scenario:
                             StreamPurpose.LEAD).generator()
             deltas = bootstrap_draw_array(history.lead_delta[f.id], rng,
                                           horizon)
-            leads.append(tuple((deltas + f.base_lead_time).tolist()))
+            # Python ints, so a huge base lead time cannot wrap
+            leads.append(tuple(map(f.base_lead_time.__add__,
+                                   deltas.tolist())))
         return (tuple(demand), tuple(total_demand), tuple(weighted_demand),
                 tuple(leads))
 

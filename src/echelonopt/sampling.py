@@ -110,11 +110,16 @@ class HistoryGenParams:
 
 
 def _synth_series(params: SeriesParams, rng: np.random.Generator,
-                  length: int) -> np.ndarray:
+                  length: int, context: str) -> np.ndarray:
     if params.spread == 0:
-        return np.full(length, int(round(params.mean)), dtype=np.int64)
-    vals = rng.normal(params.mean, params.spread, size=length)
-    return np.maximum(np.rint(vals), 0).astype(np.int64)
+        vals = np.full(length, float(params.mean))
+    else:
+        vals = rng.normal(params.mean, params.spread, size=length)
+    vals = np.maximum(np.rint(vals), 0)
+    if vals.max() >= 2.0**63:
+        raise InvalidParamsError(f"{context}: a draw of {vals.max():.4g} "
+                                 "is beyond the int64 range (2**63)")
+    return vals.astype(np.int64)
 
 
 def generate_synthetic_history(network: NetworkSpec,
@@ -136,9 +141,12 @@ def generate_synthetic_history(network: NetworkSpec,
     demand = {}
     for fid in network.customer_ids:
         rng = StreamKey(seed, 0, fid, StreamPurpose.DEMAND).generator()
-        demand[fid] = _synth_series(params.demand[fid], rng, params.length)
+        demand[fid] = _synth_series(params.demand[fid], rng, params.length,
+                                    f"generator.demand[{fid}]")
     lead_delta = {}
     for fid in network.ids:
         rng = StreamKey(seed, 0, fid, StreamPurpose.LEAD).generator()
-        lead_delta[fid] = _synth_series(params.lead_delta[fid], rng, params.length)
+        lead_delta[fid] = _synth_series(params.lead_delta[fid], rng,
+                                        params.length,
+                                        f"generator.lead_delta[{fid}]")
     return HistoryDataset(demand=demand, lead_delta=lead_delta)

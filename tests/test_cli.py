@@ -2,7 +2,9 @@ import csv
 import json
 import re
 import shutil
+from dataclasses import MISSING, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import pytest
 
@@ -10,6 +12,8 @@ from echelonopt import cli
 from echelonopt.cli import main
 from echelonopt.config import STRATEGIES, merge_optimizer_settings
 from echelonopt.harness import derive_strategy_seed
+from echelonopt.model import FacilitySpec, ScenarioConfig
+from echelonopt.sampling import HistoryGenParams, SeriesParams
 
 PRESET = (Path(__file__).resolve().parent.parent / "configs"
           / "five_facility.json")
@@ -28,6 +32,32 @@ def history_dir(config_path, tmp_path_factory):
                  "--out", str(out)])
     assert code == 0
     return str(out)
+
+
+# Each model dataclass a config file holds, at one instance: the class,
+# the instance's path in the file, the context its errors name, and how
+# to get it from the loaded config.
+SECTIONS = [
+    (FacilitySpec, ("network", "facilities", 0), "facility 1",
+     lambda cfg: cfg.network.facilities[0]),
+    (ScenarioConfig, ("scenario",), "scenario", lambda cfg: cfg.scenario),
+    (HistoryGenParams, ("generator",), "generator",
+     lambda cfg: cfg.generator),
+    *((SeriesParams, ("generator", series, "1"), f"generator.{series}[1]",
+       lambda cfg, series=series: getattr(cfg.generator, series)["1"])
+      for series in ("demand", "lead_delta")),
+]
+
+
+def model_fields(kind):
+    """(path in the file, the context its error names, how to read the
+    loaded value) for every field of SECTIONS annotated ``kind``."""
+    return [pytest.param(
+        (*path, field.name), rf"{re.escape(context)}\.{field.name}",
+        lambda cfg, get=get, name=field.name: getattr(get(cfg), name),
+        id=f"{context}.{field.name}")
+        for cls, path, context, get in SECTIONS for field in fields(cls)
+        if get_type_hints(cls)[field.name] is kind]
 
 
 def out_dir_argv(command, config_path, history_dir, out):
@@ -106,6 +136,18 @@ class TestSimulate:
         assert rows[0] == ["day", "facility", "on_hand", "inv_position",
                            "backorders", "demand", "shipped"]
         assert len(rows) == 1 + 40 * 5
+
+    def test_lead_time_beyond_int64_runs(self, history_dir, tmp_path,
+                                         capsys):
+        # Facility 1's orders from SOURCE are due after the horizon.
+        raw = json.loads(PRESET.read_text())
+        raw["network"]["facilities"][0]["base_lead_time"] = 10**30
+        config = tmp_path / "far.json"
+        config.write_text(json.dumps(raw))
+        code = main(["simulate", "--config", str(config),
+                     "--history-dir", history_dir, "--horizon", "30"])
+        assert code == 0
+        assert "avg_on_hand" in capsys.readouterr().out
 
     @pytest.mark.parametrize("replication", ["0", "-1"])
     def test_replication_below_one_exits_one(self, config_path, history_dir,
@@ -566,22 +608,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="horizn"):
             load_config(self.write(tmp_path, raw))
 
-    @pytest.mark.parametrize("key", ["horizon", "replications", "base_seed"])
-    @pytest.mark.parametrize("value", [30.7, "30"])
-    def test_scenario_integer_takes_only_integers(self, tmp_path, key,
-                                                  value):
-        from echelonopt.config import ConfigError, load_config
-        raw = self.base()
-        raw["scenario"][key] = value
-        with pytest.raises(ConfigError, match=f"scenario.{key}"):
-            load_config(self.write(tmp_path, raw))
-
-    def test_integral_scenario_float_loads(self, tmp_path):
-        from echelonopt.config import load_config
-        raw = self.base()
-        raw["scenario"]["horizon"] = 30.0
-        assert load_config(self.write(tmp_path, raw)).scenario.horizon == 30
-
     def test_policy_facility_outside_network_rejected(self, tmp_path):
         from echelonopt.config import ConfigError, load_config, \
             load_policy_file
@@ -596,20 +622,24 @@ class TestConfigValidation:
             load_policy_file(policy, network)
 
     # every integer field of a config or policy file: (path in the file,
-    # the context its error names)
+    # the context its error names, how to read the loaded value)
     INTEGER_FIELDS = [
+        *model_fields(int),
         pytest.param(("initial_policy", "1", "reorder_point"),
-                     r"initial_policy\[1\]\.reorder_point", id="rop"),
+                     r"initial_policy\[1\]\.reorder_point",
+                     lambda cfg: cfg.initial_policy.reorder_point["1"],
+                     id="rop"),
         pytest.param(("initial_policy", "1", "base_stock"),
-                     r"initial_policy\[1\]\.base_stock", id="base"),
-        pytest.param(("network", "facilities", 0, "base_lead_time"),
-                     r"facility 1\.base_lead_time", id="lead"),
-        pytest.param(("generator", "length"), r"generator\.length",
-                     id="length"),
+                     r"initial_policy\[1\]\.base_stock",
+                     lambda cfg: cfg.initial_policy.base_stock["1"],
+                     id="base"),
         pytest.param(("bounds", "1", "reorder_point", 1),
-                     r"bounds\[1\]\.reorder_point", id="rop_hi"),
+                     r"bounds\[1\]\.reorder_point",
+                     lambda cfg: cfg.space.upper[0], id="rop_hi"),
         pytest.param(("bounds", "1", "base_stock", 0),
-                     r"bounds\[1\]\.base_stock", id="base_lo"),
+                     r"bounds\[1\]\.base_stock",
+                     lambda cfg: cfg.space.lower[len(cfg.network.ids)],
+                     id="base_lo"),
     ]
 
     @staticmethod
@@ -619,58 +649,32 @@ class TestConfigValidation:
             node = node[key]
         node[path[-1]] = change(node[path[-1]])
 
-    @staticmethod
-    def loaded_numbers(cfg):
-        return (cfg.initial_policy.to_array(cfg.network).tolist(),
-                [f.base_lead_time for f in cfg.network.facilities],
-                cfg.generator.length,
-                cfg.space.lower.tolist(), cfg.space.upper.tolist())
-
-    @pytest.mark.parametrize("path,context", INTEGER_FIELDS)
+    @pytest.mark.parametrize("path,context,read", INTEGER_FIELDS)
     @pytest.mark.parametrize("change", [lambda v: v + 0.7, str,
                                         lambda v: None, lambda v: True,
                                         lambda v: 10**400],
                              ids=["fraction", "string", "null", "bool",
                                   "beyond-float"])
     def test_integer_field_takes_only_integers(self, tmp_path, path,
-                                               context, change):
+                                               context, read, change):
         from echelonopt.config import ConfigError, load_config
         raw = self.base()
         self.replace_field(raw, path, change)
         with pytest.raises(ConfigError, match=context):
             load_config(self.write(tmp_path, raw))
 
-    @pytest.mark.parametrize("path,context", INTEGER_FIELDS)
-    def test_integral_float_field_loads(self, tmp_path, path, context):
+    @pytest.mark.parametrize("path,context,read", INTEGER_FIELDS)
+    def test_integral_float_field_loads(self, tmp_path, path, context, read):
         from echelonopt.config import load_config
         raw = self.base()
         self.replace_field(raw, path, float)
-        cfg = load_config(self.write(tmp_path, raw))
-        assert self.loaded_numbers(cfg) == self.loaded_numbers(
-            load_config(PRESET))
-        assert type(cfg.initial_policy.reorder_point["1"]) is int
-        assert type(cfg.network.facilities[0].base_lead_time) is int
+        value = read(load_config(self.write(tmp_path, raw)))
+        preset = read(load_config(PRESET))
+        assert value == preset and type(value) is type(preset)
 
-    # every float field of a config file: (path in the file, the context
-    # its error names, how to read the loaded value)
+    # every float field of a config file, as INTEGER_FIELDS
     FLOAT_FIELDS = [
-        pytest.param(("network", "facilities", 0, "target_beta"),
-                     r"facility 1\.target_beta",
-                     lambda cfg: cfg.network.facilities[0].target_beta,
-                     id="target_beta"),
-        pytest.param(("scenario", "penalty_rho"), r"scenario\.penalty_rho",
-                     lambda cfg: cfg.scenario.penalty_rho, id="rho"),
-        pytest.param(("scenario", "initial_inventory_fraction"),
-                     r"scenario\.initial_inventory_fraction",
-                     lambda cfg: cfg.scenario.initial_inventory_fraction,
-                     id="fraction"),
-        pytest.param(("generator", "demand", "1", "mean"),
-                     r"generator\.demand\[1\]\.mean",
-                     lambda cfg: cfg.generator.demand["1"].mean, id="mean"),
-        pytest.param(("generator", "lead_delta", "1", "spread"),
-                     r"generator\.lead_delta\[1\]\.spread",
-                     lambda cfg: cfg.generator.lead_delta["1"].spread,
-                     id="spread"),
+        *model_fields(float),
         *(pytest.param(("optimizers", strategy, key),
                        rf"optimizers\.{strategy}\.{key}",
                        lambda cfg, s=strategy, k=key:
@@ -705,6 +709,47 @@ class TestConfigValidation:
         value = read(load_config(self.write(tmp_path, raw)))
         assert value == 1.0
         assert type(value) is float
+
+    @pytest.mark.parametrize("path,context,read", model_fields(bool))
+    @pytest.mark.parametrize("change", [lambda v: "false", lambda v: 0,
+                                        lambda v: None],
+                             ids=["string", "integer", "null"])
+    def test_bool_field_takes_only_true_or_false(self, tmp_path, path,
+                                                 context, read, change):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        self.replace_field(raw, path, change)
+        with pytest.raises(ConfigError, match=rf"{context}: expected true "
+                           "or false"):
+            load_config(self.write(tmp_path, raw))
+
+    @pytest.mark.parametrize("path,field", [
+        pytest.param((*path, field.name), field, id=f"{context}.{field.name}")
+        for cls, path, context, get in SECTIONS for field in fields(cls)])
+    def test_absent_field_is_required_or_its_default(self, tmp_path, path,
+                                                     field):
+        # The preset with the field absent loads as it does with the
+        # field's default given, or fails the same way.
+        from echelonopt.config import ConfigError, load_config
+
+        def outcome(change):
+            raw = self.base()
+            node = raw
+            for key in path[:-1]:
+                node = node[key]
+            change(node)
+            try:
+                return repr(load_config(self.write(tmp_path, raw)))
+            except ConfigError as exc:
+                return str(exc)
+
+        absent = outcome(lambda node: node.pop(field.name))
+        if field.default is MISSING:
+            assert absent.endswith(f": missing required key {field.name!r}")
+        else:
+            default = getattr(field.default, "value", field.default)
+            assert absent == outcome(
+                lambda node: node.update({field.name: default}))
 
     @pytest.mark.parametrize("path,key", [
         pytest.param((), "optimiser", id="top"),
@@ -776,13 +821,6 @@ class TestConfigValidation:
         assert main(["evaluate", "--config", str(self.write(tmp_path, raw)),
                      "--history-dir", str(tmp_path)]) == 1
 
-    def test_serves_customers_must_be_boolean(self, tmp_path):
-        from echelonopt.config import ConfigError, load_config
-        raw = self.base()
-        raw["network"]["facilities"][0]["serves_customers"] = "false"
-        with pytest.raises(ConfigError, match="serves_customers"):
-            load_config(self.write(tmp_path, raw))
-
     # (command, config edit, history file to rewrite, error fragment); an
     # edit given as text replaces the whole config file
     BAD_INPUTS = [
@@ -804,9 +842,15 @@ class TestConfigValidation:
             "facilities"][0].update(base_lead_time=-1), None,
             "error: invalid network: facility 1: base_lead_time -1 is "
             "negative", id="negative-lead-time"),
+        *(pytest.param("generate-data", lambda raw, spread=spread: raw[
+            "generator"]["demand"]["1"].update(mean=1e19, spread=spread),
+            None, "error: InvalidParamsError: generator.demand[1]: a draw "
+            "of 1e+19 is beyond the int64 range (2**63)",
+            id=f"generator-beyond-int64-spread-{spread}")
+          for spread in (0, 1)),
         pytest.param("optimize", lambda raw: raw["network"]["facilities"][0]
                      .pop("upstream"), None,
-                     "facility: missing required key 'upstream'",
+                     "facility 1: missing required key 'upstream'",
                      id="no-upstream"),
         pytest.param("optimize", lambda raw: raw["scenario"].update(
             demand_choice="lost"), None,

@@ -410,6 +410,21 @@ class TestMatchesReferenceEngine:
         if base == 0:
             assert out.avg_on_hand["store"] == 0.0
 
+    @pytest.mark.parametrize("base_lead,delta", [
+        (10**30, 0), (2**63 - 10, 2**63 - 15)], ids=["beyond-int64",
+                                                    "sum-beyond-int64"])
+    def test_lead_time_beyond_int64(self, base_lead, delta):
+        # The store starts with 90 and orders once, from SOURCE, on day 4;
+        # the order is due long after the horizon, so it never lands: day
+        # d ends with 90 - 10 d on hand until day 9, then 0.
+        net = single_facility(base_lead=base_lead)
+        pol = PolicyVector({"store": 50}, {"store": 100})
+        hist = constant_history(net, demand=10, lead_delta=delta)
+        cfg = ScenarioConfig(horizon=30, replications=1, base_seed=1)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        assert out.avg_on_hand["store"] == 360 / 30 == 12.0
+        assert out.total_shipped["store"] == 90
+
     def test_lost_sales_stockout_day(self):
         # As above under lost sales: day 3 ships 7 and loses 3, day 4
         # loses all 10, day 5's arrival of 23 leaves 13 and reorders 17.

@@ -159,6 +159,18 @@ class TestSyntheticHistory:
         with pytest.raises(InvalidParamsError):
             self.params(length=0)
 
+    @pytest.mark.parametrize("spread", [0.0, 1.0])
+    def test_draw_beyond_int64_rejected(self, spread):
+        # 2**63 is the first float past int64; the float below it fits.
+        net = two_facility_network()
+        with pytest.raises(InvalidParamsError,
+                           match=r"^generator\.demand\[store\]: .* int64"):
+            generate_synthetic_history(net, self.params(2.0**63, spread),
+                                       seed=1)
+        below = np.nextafter(2.0**63, 0)
+        hist = generate_synthetic_history(net, self.params(below), seed=1)
+        assert hist.demand["store"][0] == int(below)
+
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic_history(two_facility_network(),
