@@ -89,9 +89,12 @@ def validate_network(spec: NetworkSpec) -> list[str]:
     """Check the tree/uniqueness/target invariants.
 
     Returns an empty list when the network is valid, otherwise one
-    message per problem found, each starting ``facility <id>: `` (the
-    network is never mutated or repaired).
+    message per problem found, each starting ``facility <id>: `` except
+    the one message for a network with no facilities (the network is
+    never mutated or repaired).
     """
+    if not spec.facilities:
+        return ["the network has no facilities"]
     problems: list[tuple[str, str]] = []
     seen: set[str] = set()
     for f in spec.facilities:

@@ -32,6 +32,14 @@ class NonFiniteObjectiveError(ValueError):
     """The objective returned inf or NaN; no strategy can search on it."""
 
 
+class SingularKernelError(RuntimeError):
+    """Kernel matrix stayed non-positive-definite after jitter escalation."""
+
+
+class SingularInterpolationError(RuntimeError):
+    """Interpolation system could not be solved to tolerance."""
+
+
 class _StopSearch(Exception):
     """Internal: budget ran out mid-search; unwind and report the best."""
 
@@ -210,7 +218,8 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     checked against ``SETTING_MINIMUMS`` before the search starts.  A
     given ``x0`` is clipped into the box.
     """
-    # read at call time: the benchmark's tracer replaces these attributes
+    # read at call time: the benchmark's tracer replaces these attributes.
+    # The first call loads SciPy here, before the tracker's clock starts.
     from . import gp, nelder_mead, rbf
 
     searches = {"nelder-mead": nelder_mead.nelder_mead_restart,

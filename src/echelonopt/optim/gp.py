@@ -27,13 +27,9 @@ import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize as scipy_minimize
 
-from .core import EvaluationTracker, SearchSpace
+from .core import EvaluationTracker, SearchSpace, SingularKernelError
 
 logger = logging.getLogger(__name__)
-
-
-class SingularKernelError(RuntimeError):
-    """Kernel matrix stayed non-positive-definite after jitter escalation."""
 
 
 BASE_JITTER = 1e-10

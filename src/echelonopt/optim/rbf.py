@@ -37,13 +37,9 @@ from scipy.linalg import lstsq, solve
 from scipy.optimize import minimize as scipy_minimize
 from scipy.spatial.distance import cdist
 
-from .core import EvaluationTracker, SearchSpace
+from .core import EvaluationTracker, SearchSpace, SingularInterpolationError
 
 logger = logging.getLogger(__name__)
-
-
-class SingularInterpolationError(RuntimeError):
-    """Interpolation system could not be solved to tolerance."""
 
 
 RESIDUAL_RTOL = 1e-8

@@ -838,6 +838,10 @@ class TestConfigValidation:
             facilities={"1": {"id": "1"}}), None,
             "network.facilities: expected a list, got {",
             id="facilities-object"),
+        pytest.param("generate-data", lambda raw: raw.update(
+            network={"facilities": []}, bounds={}, initial_policy={}), None,
+            "error: invalid network: the network has no facilities",
+            id="empty-network"),
         pytest.param("generate-data", lambda raw: raw["network"][
             "facilities"][0].update(base_lead_time=-1), None,
             "error: invalid network: facility 1: base_lead_time -1 is "

@@ -87,6 +87,7 @@ class TestValidateNetwork:
 
     # One network per rule, in the order validate_network checks them.
     @pytest.mark.parametrize("facilities,messages", [
+        pytest.param([], ["the network has no facilities"], id="no-facilities"),
         pytest.param([FacilitySpec("a", SOURCE, 1, 0.0, False),
                       FacilitySpec("a", SOURCE, 2, 0.0, False)],
                      ["facility a: declared more than once"],
