@@ -38,7 +38,7 @@ from .harness import (
     run_strategy,
 )
 from .model import DemandChoice, ScenarioConfig
-from .engine import sim_network
+from .engine import TRACE_COLUMNS, sim_network
 from .objective import evaluate
 from .optim import Budget, BudgetExhaustedError, SingularKernelError
 from .sampling import generate_synthetic_history
@@ -144,9 +144,8 @@ def cmd_simulate(args) -> int:
         path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            trace = outcome.trace
-            writer.writerow(["day", "facility", *trace[cfg.network.ids[0]]])
-            for fid, columns in trace.items():
+            writer.writerow(["day", "facility", *TRACE_COLUMNS])
+            for fid, columns in outcome.trace.items():
                 for day, row in enumerate(zip(*columns.values()), 1):
                     writer.writerow([day, fid, *row])
         print(f"trace written to {path}")

@@ -36,8 +36,10 @@ Replenishment mechanics:
 
 Implementation.  One replication is a single flat day loop over
 per-facility lists indexed by network position; there are no per-facility
-objects and no helper calls inside the loop.  State changes only when
-stock moves, and exact integer identities give the rest:
+objects, and no helper calls inside the loop but ``emit`` while the
+event log is on; as in the oracle ``tests/reference_engine.py``, it
+builds every event, and the trace is one row per facility-day.  State
+changes only when stock moves, and exact integer identities give the rest:
 
 * The ordering test reads ``trigger = reorder_point - on_order``, which
   changes only when an order is placed (``-= q``) or lands (``+= q``):
@@ -117,6 +119,7 @@ from .sampling import StreamKey, StreamPurpose, bootstrap_draw_array
 from .sampling import bootstrap_draw  # noqa: F401
 
 _DESTINATION = itemgetter(0)
+TRACE_COLUMNS = ("on_hand", "inv_position", "backorders", "demand", "shipped")
 
 
 class InvalidPolicyError(ValueError):
@@ -253,10 +256,12 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
         [] for _ in range(horizon + 1)]
 
     events: list[tuple] | None = [] if record_events else None
-    daily: dict[str, dict[str, list]] | None = None
+    names = (*ids, SOURCE)  # names[-1] is SOURCE, the upstream index -1
+
+    def emit(kind, day, f, **data):  # called only while events are on
+        events.append((len(events), day, names[f], kind, data))
     if record_trace:
-        daily = {fid: {"on_hand": [], "inv_position": [], "backorders": [],
-                       "demand": [], "shipped": []} for fid in ids}
+        rows = [[] for _ in ids]
         demand_rows = [(0,) * (horizon + 1)] * n
         for f, demand_by_day in customers:
             demand_rows[f] = demand_by_day
@@ -274,9 +279,8 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                 trigger[dest] += quantity
                 held[dest] += quantity * weight
                 if events is not None:
-                    events.append((len(events), day, ids[dest], "arrive",
-                                   {"order_id": order_id,
-                                    "quantity": quantity}))
+                    emit("arrive", day, dest, order_id=order_id,
+                         quantity=quantity)
 
         # Phase 2: customer service.  An ordinary day (demand in stock, no
         # backlog) is one store: its share of held is already in W.
@@ -303,8 +307,7 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                 on_hand[f] = stock - shipped
                 held[f] += (demand - shipped) * weight
             if events is not None:
-                events.append((len(events), day, ids[f], "serve",
-                               {"demand": demand, "shipped": shipped}))
+                emit("serve", day, f, demand=demand, shipped=shipped)
 
         # Phase 3: replenishment fulfillment
         for f in suppliers:
@@ -324,10 +327,8 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                     if grabbed < quantity:
                         order[3] = grabbed
                         if events is not None:
-                            events.append((len(events), day, ids[f],
-                                           "reserve",
-                                           {"order_id": order_id,
-                                            "quantity": grabbed}))
+                            emit("reserve", day, f, order_id=order_id,
+                                 quantity=grabbed)
                         break
                 else:
                     remainder = quantity - reserved
@@ -341,11 +342,8 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                 if land <= horizon:
                     calendar[land].append((dest, quantity, order_id))
                 if events is not None:
-                    events.append((len(events), day, ids[f], "ship",
-                                   {"order_id": order_id,
-                                    "quantity": quantity,
-                                    "destination": ids[dest],
-                                    "arrival_day": day + lead}))
+                    emit("ship", day, f, order_id=order_id, quantity=quantity,
+                         destination=ids[dest], arrival_day=day + lead)
             on_hand[f] = stock
             held[f] -= taken * weight
 
@@ -359,9 +357,8 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                     trigger[f] -= quantity
                     up = upstream[f]
                     if events is not None:
-                        events.append((len(events), day, ids[f], "order", {
-                            "order_id": order_id, "quantity": quantity,
-                            "upstream": network.facilities[f].upstream}))
+                        emit("order", day, f, order_id=order_id,
+                             quantity=quantity, upstream=names[up])
                     if up >= 0:
                         queues[up].append([quantity, f, order_id, None])
                     else:
@@ -371,24 +368,18 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                         if land <= horizon:
                             calendar[land].append((f, quantity, order_id))
                         if events is not None:
-                            events.append((len(events), day, SOURCE, "ship",
-                                           {"order_id": order_id,
-                                            "quantity": quantity,
-                                            "destination": ids[f],
-                                            "arrival_day": day + lead}))
+                            emit("ship", day, up, order_id=order_id,
+                                 quantity=quantity, destination=ids[f],
+                                 arrival_day=day + lead)
 
-        if daily is not None:
+        if record_trace:
             for f in range(n):
-                column = daily[ids[f]]
                 demand = demand_rows[f][day]
-                column["on_hand"].append(on_hand[f])
-                column["inv_position"].append(
-                    on_hand[f] + reorder_point[f] - trigger[f])
-                column["backorders"].append(backorders[f])
-                column["demand"].append(demand)
                 # Shipped today: demand less today's growth of unserved.
-                column["shipped"].append(
-                    demand - unserved[f] + unserved_before[f])
+                rows[f].append((on_hand[f],
+                                on_hand[f] + reorder_point[f] - trigger[f],
+                                backorders[f], demand,
+                                demand - unserved[f] + unserved_before[f]))
                 unserved_before[f] = unserved[f]
 
     total_shipped = [d - u for d, u in zip(total_demand, unserved)]
@@ -402,6 +393,7 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
         total_late=dict(zip(ids, total_late)),
         final_backorders=dict(zip(ids, backorders)),
         final_on_hand=dict(zip(ids, on_hand)),
-        trace=daily,
+        trace={fid: dict(zip(TRACE_COLUMNS, map(list, zip(*rows[f]))))
+               for f, fid in enumerate(ids)} if record_trace else None,
         events=events,
     )

@@ -226,6 +226,11 @@ class HistoryDataset:
         object.__setattr__(self, "lead_delta", MappingProxyType({
             k: _frozen_samples(k, v) for k, v in self.lead_delta.items()}))
 
+    def __reduce__(self):
+        # A mapping proxy does not pickle; the copy is re-frozen, and as a
+        # new object it keys its own draw tables.
+        return HistoryDataset, (dict(self.demand), dict(self.lead_delta))
+
     def require_covers(self, network: NetworkSpec) -> None:
         for fid in network.customer_ids:
             if fid not in self.demand:

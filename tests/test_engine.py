@@ -1,5 +1,6 @@
 from collections import deque
 from dataclasses import fields, replace
+from itertools import product
 
 import numpy as np
 import pytest
@@ -355,11 +356,11 @@ def outcome_fields(outcome):
 
 
 def assert_matches_reference(network, policy, history, cfg, replication,
-                             record):
+                             trace, events):
     got = sim_network(network, policy, history, cfg, replication,
-                      record_trace=record, record_events=record)
+                      record_trace=trace, record_events=events)
     want = reference_sim_network(network, policy, history, cfg, replication,
-                                 record_trace=record, record_events=record)
+                                 record_trace=trace, record_events=events)
     assert outcome_fields(got) == outcome_fields(want)
     return got
 
@@ -373,7 +374,8 @@ class TestMatchesReferenceEngine:
         rng = np.random.default_rng(424242)
         for _ in range(1000):
             net, pol, hist, cfg = _random_scenario(rng)
-            out = assert_matches_reference(net, pol, hist, cfg, 1, record)
+            out = assert_matches_reference(net, pol, hist, cfg, 1, record,
+                                           record)
             if record:
                 for fid in net.ids:
                     trace = out.trace[fid]
@@ -389,7 +391,8 @@ class TestMatchesReferenceEngine:
         pol = PolicyVector({"store": 15}, {"store": 30})
         hist = constant_history(net, demand=10)
         cfg = ScenarioConfig(horizon=6, replications=1, base_seed=1)
-        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, trace=True,
+                                       events=True)
         assert out.trace["store"]["backorders"] == [0, 0, 3, 13, 0, 10]
         assert out.trace["store"]["shipped"] == [10, 10, 7, 0, 23, 0]
         assert out.avg_on_hand["store"] == (17 + 7) / 6
@@ -406,7 +409,8 @@ class TestMatchesReferenceEngine:
         pol = PolicyVector({"store": rop}, {"store": base})
         hist = constant_history(net, demand=10**15)
         cfg = ScenarioConfig(horizon=360, replications=1, base_seed=1)
-        out = assert_matches_reference(net, pol, hist, cfg, 1, record=False)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, trace=False,
+                                       events=False)
         if base == 0:
             assert out.avg_on_hand["store"] == 0.0
 
@@ -421,7 +425,8 @@ class TestMatchesReferenceEngine:
         pol = PolicyVector({"store": 50}, {"store": 100})
         hist = constant_history(net, demand=10, lead_delta=delta)
         cfg = ScenarioConfig(horizon=30, replications=1, base_seed=1)
-        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, trace=True,
+                                       events=True)
         assert out.avg_on_hand["store"] == 360 / 30 == 12.0
         assert out.total_shipped["store"] == 90
 
@@ -433,7 +438,8 @@ class TestMatchesReferenceEngine:
         hist = constant_history(net, demand=10)
         cfg = ScenarioConfig(horizon=6, replications=1, base_seed=1,
                              demand_choice=DemandChoice.LOST_SALES)
-        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, trace=True,
+                                       events=True)
         assert out.trace["store"]["on_hand"] == [17, 7, 0, 0, 13, 3]
         assert out.trace["store"]["shipped"] == [10, 10, 7, 0, 10, 10]
         assert out.avg_on_hand["store"] == 40 / 6
@@ -453,7 +459,8 @@ class TestMatchesReferenceEngine:
                               lead_delta={"hub": [0], "store": [0]})
         cfg = ScenarioConfig(horizon=6, replications=1, base_seed=1,
                              initial_inventory_fraction=1.0)
-        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, trace=True,
+                                       events=True)
         assert out.trace["hub"]["on_hand"] == [35, 30, 5, 35, 10, 35]
         assert out.trace["store"]["on_hand"] == [20, 10, 0, 10, 0, 10]
         assert out.avg_on_hand == {"hub": 150 / 6, "store": 50 / 6}
@@ -467,7 +474,8 @@ class TestMatchesReferenceEngine:
         hist = constant_history(net, demand=10)
         cfg = ScenarioConfig(horizon=30, replications=1, base_seed=1,
                              initial_inventory_fraction=1.0)
-        out = assert_matches_reference(net, pol, hist, cfg, 1, record=True)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, trace=True,
+                                       events=True)
         orders = [e for e in out.events if e[3] == "order"]
         assert [(e[1], e[4]["quantity"]) for e in orders] == [
             (day, 10) for day in range(1, 31)]
@@ -490,11 +498,14 @@ class TestMatchesReferenceEngine:
             PolicyVector.from_array(
                 cfg.network, repair_policy_array(x, space.lower, space.upper))
             for x in points]
+        # All four recorder combinations: a recorder that came to depend
+        # on the other would show only in the trace-only and events-only
+        # runs.
         for policy in policies:
             for rep in range(1, scenario.replications + 1):
-                for record in (False, True):
+                for trace, events in product((False, True), repeat=2):
                     assert_matches_reference(cfg.network, policy, history,
-                                             scenario, rep, record)
+                                             scenario, rep, trace, events)
 
 
 def cache_scenario():
@@ -579,7 +590,7 @@ class TestScenarioCache:
         for name, scenario in (("a", a), ("b", b), ("a", a)):
             assert evaluate(policy, *scenario).z == want[name]
             assert_matches_reference(scenario[0], policy, scenario[1],
-                                     scenario[2], 2, record=True)
+                                     scenario[2], 2, trace=True, events=True)
 
     @pytest.mark.parametrize("change", [
         {"demand_choice": DemandChoice.LOST_SALES},

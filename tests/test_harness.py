@@ -1,3 +1,5 @@
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +59,24 @@ def test_run_strategy_result_shape():
     # the reported policy re-evaluates to exactly the best objective (CRN)
     assert evaluate(result.report.policy, net, hist, scenario).z \
         == result.run.best_value
+
+
+def test_run_strategy_in_a_worker_process_is_bit_identical():
+    # Every argument of a run pickles, the history included, and the
+    # worker's run repeats the in-process one exactly (CRN).
+    net, hist, scenario, policy, space = tiny_scenario()
+    scenario = replace(scenario, horizon=90)
+    args = ("rbf", net, hist, scenario, space, policy,
+            {"max_evaluations": 10, "seed": 4})
+    here = run_strategy(*args)
+    with ProcessPoolExecutor(
+            1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        there = pool.submit(run_strategy, *args).result()
+    assert np.array_equal(there.run.evaluated_points,
+                          here.run.evaluated_points)
+    assert np.array_equal(there.run.evaluated_values,
+                          here.run.evaluated_values)
+    assert there.report.z == here.report.z
 
 
 def test_run_strategy_evaluates_only_the_run_and_its_best(monkeypatch):

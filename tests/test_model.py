@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -285,6 +287,22 @@ class TestHistoryDataset:
                                     series: partial})
         with pytest.raises(ValueError, match=message):
             history.require_covers(net)
+
+    def test_pickle_round_trip_keeps_every_series_read_only(self):
+        history = HistoryDataset(demand={"a": [1, 2], "b": [7]},
+                                 lead_delta={"a": [0, 3], "b": [1]})
+        copy = pickle.loads(pickle.dumps(history))
+        assert copy is not history
+        for series in ("demand", "lead_delta"):
+            want, got = getattr(history, series), getattr(copy, series)
+            assert {k: v.tolist() for k, v in got.items()} == \
+                {k: v.tolist() for k, v in want.items()}
+            with pytest.raises(TypeError):
+                got["c"] = np.array([1])
+            for samples in got.values():
+                assert samples.dtype == np.int64
+                with pytest.raises(ValueError):
+                    samples[0] = 9
 
     def test_equality_and_hash_are_by_identity(self):
         def make():
