@@ -198,12 +198,13 @@ def _strategy_settings(cfg: LoadedConfig, args: argparse.Namespace,
 
 
 def _run_one_strategy(cfg: LoadedConfig, history, scenario, strategy: str,
-                      out_dir: Path, settings: dict, stem: str):
-    """Run a strategy on its merged settings; write log, policy, summary."""
+                      out_dir: Path, settings: dict):
+    """Run a strategy on its merged settings; write its log, policy and
+    summary, each named ``<kind>_<strategy>_<choice>``."""
     choice = scenario.demand_choice.value
     paths = {"log": out_dir / f"evaluations_{strategy}_{choice}.csv",
-             "policy": out_dir / f"best_policy_{stem}.json",
-             "summary": out_dir / f"summary_{stem}.json"}
+             "policy": out_dir / f"best_policy_{strategy}_{choice}.json",
+             "summary": out_dir / f"summary_{strategy}_{choice}.json"}
     with open(paths["log"], "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["evaluation", "point", "z", "best_so_far"])
@@ -239,8 +240,7 @@ def cmd_optimize(args) -> int:
     settings = _strategy_settings(cfg, args, args.strategy)
     with _fresh_out_dir(args) as out_dir:
         result, paths = _run_one_strategy(cfg, history, scenario,
-                                          args.strategy, out_dir, settings,
-                                          stem=args.strategy)
+                                          args.strategy, out_dir, settings)
     print(f"strategy {args.strategy}: best Z {result.run.best_value:.2f} "
           f"({result.reduction_pct:.1f}% reduction from the initial guess), "
           f"{result.run.evaluations_used} evaluations, "
@@ -256,14 +256,14 @@ def cmd_compare(args) -> int:
     settings = {s: _strategy_settings(
         cfg, args, s, derive_strategy_seed(scenario.base_seed, s))
         for s in strategies}
+    reports = []  # printed once every file is written
     with _fresh_out_dir(args) as out_dir:
         for demand in (DemandChoice if args.choice == "both"
                        else [scenario.demand_choice]):
             scenario = replace(scenario, demand_choice=demand)
             choice = demand.value
             results = [_run_one_strategy(cfg, history, scenario, strategy,
-                                         out_dir, merged,
-                                         stem=f"{strategy}_{choice}")[0]
+                                         out_dir, merged)[0]
                        for strategy, merged in settings.items()]
 
             rows = comparison_table(results, cfg.network)
@@ -272,10 +272,10 @@ def cmd_compare(args) -> int:
                 csv.writer(fh).writerows(rows)
             text = format_table(rows)
             (out_dir / f"comparison_{choice}.txt").write_text(text + "\n")
-            print(f"\n=== demand choice: {choice} "
-                  f"(initial Z {results[0].initial_z:.2f}) ===")
-            print(text)
-            print(f"table written to {csv_path}")
+            reports.append(f"\n=== demand choice: {choice} (initial Z "
+                           f"{results[0].initial_z:.2f}) ===\n{text}\n"
+                           f"table written to {csv_path}")
+    print("\n".join(reports))
     return 0
 
 

@@ -123,7 +123,7 @@ TRACE_COLUMNS = ("on_hand", "inv_position", "backorders", "demand", "shipped")
 
 
 class InvalidPolicyError(ValueError):
-    """Policy does not cover the network or violates B >= R >= 0."""
+    """The policy misses a facility; PolicyVector checks B >= R >= 0."""
 
 
 @dataclass(frozen=True)

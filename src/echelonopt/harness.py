@@ -3,8 +3,7 @@
 Builds the black-box callable (policy vector in, penalized Z out), the
 repair hook that turns continuous proposals into simulable integer
 policies, and per-strategy runs with Table-style summaries.  Strategy
-seeds are kept disjoint by deriving them from a shared seed plus a fixed
-per-strategy code, so comparison runs never share random streams.
+seeds are disjoint: each spawns from the shared seed at its STRATEGIES index.
 """
 
 from __future__ import annotations
@@ -25,12 +24,10 @@ from .model import (
 from .objective import ObjectiveReport, evaluate
 from .optim import Budget, OptimizerRun, SearchSpace, minimize
 
-_STRATEGY_CODE = {name: i for i, name in enumerate(STRATEGIES)}
-
 
 def derive_strategy_seed(shared_seed: int, strategy: str) -> int:
     seq = np.random.SeedSequence(shared_seed,
-                                 spawn_key=(_STRATEGY_CODE[strategy],))
+                                 spawn_key=(STRATEGIES.index(strategy),))
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 

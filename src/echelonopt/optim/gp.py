@@ -14,8 +14,8 @@ make the objective deterministic); the diagonal jitter exists purely for
 numerical conditioning and escalates on Cholesky failure.
 
 Every Cholesky factorization and solve calls LAPACK's dpotrf/dpotrs
-directly, with the arguments SciPy's cholesky/cho_solve pass them and
-the same finite-input check, so every fitted theta and acquisition is
+directly, with SciPy's cholesky/cho_solve arguments and its finite check
+(numpy's asarray_chkfinite), so every fitted theta and acquisition is
 bit-identical to the wrapper path at a fraction of its call overhead.
 """
 
@@ -38,16 +38,9 @@ ACQUISITION_SCAN = 256  # random candidates scored before the L-BFGS polish
 ACQUISITION_POLISH = 2  # best-scoring candidates polished by L-BFGS-B
 
 
-def _finite(a: np.ndarray, what: str) -> np.ndarray:
-    """``a``, checked as SciPy's wrappers check their inputs."""
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} must not contain infs or NaNs")
-    return a
-
-
 def _lower_cholesky(k: np.ndarray) -> np.ndarray | None:
     """K's lower Cholesky factor, or None when K is not positive definite."""
-    chol, info = dpotrf(_finite(k, "kernel matrix"), lower=1, clean=1)
+    chol, info = dpotrf(np.asarray_chkfinite(k), lower=1, clean=1)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of dpotrf")
     return chol if info == 0 else None
@@ -72,7 +65,7 @@ class GaussianProcess:
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GaussianProcess":
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        y = _finite(np.asarray(y, dtype=float), "y")
+        y = np.asarray_chkfinite(y, dtype=float)
         self.x_train = x
         self._y_mean = float(y.mean())
         self._y_scale = float(y.std())
@@ -162,7 +155,7 @@ class GaussianProcess:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         k_star = self._kernel(x, self.x_train)
         mu = k_star @ self._alpha
-        v = _cho_solve(self._chol, _finite(k_star, "k_star").T)
+        v = _cho_solve(self._chol, np.asarray_chkfinite(k_star).T)
         var = self.amplitude ** 2 - np.sum(k_star * v.T, axis=1)
         var = np.maximum(var, 0.0)
         return (mu * self._y_scale + self._y_mean,
@@ -184,7 +177,7 @@ class GaussianProcess:
         dk = (k_star[:, None] * diff) / ell2  # rows: dk_i/dx
         mu = float(k_star @ self._alpha)
         dmu = self._alpha @ dk
-        v = _cho_solve(self._chol, _finite(k_star, "k_star"))
+        v = _cho_solve(self._chol, np.asarray_chkfinite(k_star))
         var = max(self.amplitude ** 2 - float(k_star @ v), 0.0)
         sigma = np.sqrt(var)
         if sigma > 1e-12 * self.amplitude:

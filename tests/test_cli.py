@@ -1,7 +1,9 @@
 import csv
+import io
 import json
 import re
 import shutil
+import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
@@ -12,7 +14,7 @@ from echelonopt import cli
 from echelonopt.cli import main
 from echelonopt.config import STRATEGIES, merge_optimizer_settings
 from echelonopt.harness import derive_strategy_seed
-from echelonopt.model import FacilitySpec, ScenarioConfig
+from echelonopt.model import DemandChoice, FacilitySpec, ScenarioConfig
 from echelonopt.sampling import HistoryGenParams, SeriesParams
 
 PRESET = (Path(__file__).resolve().parent.parent / "configs"
@@ -211,9 +213,9 @@ class TestOptimize:
             rows = list(csv.reader(fh))
         assert rows[0] == ["evaluation", "point", "z", "best_so_far"]
         assert len(rows) == 1 + 30  # flushed one line per evaluation
-        best = json.loads((out / "best_policy_rbf.json").read_text())
+        best = json.loads((out / "best_policy_rbf_backorder.json").read_text())
         assert set(best) == {"1", "2", "3", "4", "5"}
-        summary = json.loads((out / "summary_rbf.json").read_text())
+        summary = json.loads((out / "summary_rbf_backorder.json").read_text())
         assert summary["evaluations"] == 30
         assert summary["cpu_time_minutes"] > 0.0
         assert summary["best_z"] <= summary["initial_z"]
@@ -230,7 +232,8 @@ class TestOptimize:
                      "nelder-mead", "--out", str(out), "--max-evals", "1",
                      *TINY_OVERRIDES])
         assert code == 0
-        summary = json.loads((out / "summary_nelder-mead.json").read_text())
+        summary = json.loads(
+            (out / "summary_nelder-mead_backorder.json").read_text())
         assert summary["evaluations"] == 1
         assert summary["reduction_pct"] == 0.0
 
@@ -444,7 +447,7 @@ class TestOutDir:
         out = tmp_path / "empty"
         out.mkdir()
         assert self.run("optimize", config_path, history_dir, out) == 0
-        assert (out / "summary_rbf.json").exists()
+        assert (out / "summary_rbf_backorder.json").exists()
 
 
 class TestCompare:
@@ -523,6 +526,31 @@ class TestCompare:
         assert code == 0
         assert (out / "comparison_backorder.csv").exists()
         assert (out / "comparison_lost-sales.csv").exists()
+
+    def test_closed_stdout_keeps_the_finished_run(self, config_path,
+                                                  history_dir, tmp_path,
+                                                  monkeypatch, capsys):
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+        out = tmp_path / "piped"
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = main(["compare", "--config", config_path,
+                     "--history-dir", history_dir, "--out", str(out),
+                     "--choice", "both", "--max-evals", "4",
+                     "--replications", "1", "--horizon", "20"])
+        assert code == 1
+        assert "error: BrokenPipeError" in capsys.readouterr().err
+        # every file of the run is kept, the tables of both choices too
+        runs = [f"{s}_{c.value}" for s in STRATEGIES for c in DemandChoice]
+        assert {p.name for p in out.iterdir()} == {
+            "manifest.json",
+            *(f"comparison_{c.value}.{ext}" for c in DemandChoice
+              for ext in ("csv", "txt")),
+            *(f"evaluations_{run}.csv" for run in runs),
+            *(f"{kind}_{run}.json" for kind in ("best_policy", "summary")
+              for run in runs)}
 
 
 class TestConfigValidation:
