@@ -113,11 +113,16 @@ SETTING_MINIMUMS = {"cycles": 1, "iterations_per_cycle": 1,
 
 
 def check_settings(settings: dict) -> None:
-    """Raise a ValueError naming the first setting below its minimum."""
+    """Raise a ValueError naming the first setting that is too small,
+    NaN or infinite."""
     for name, value in settings.items():
         minimum = SETTING_MINIMUMS.get(name)
-        if minimum is not None and value < minimum:
+        if minimum is None:
+            continue
+        if value < minimum:
             raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
+        if not value < math.inf:  # NaN or inf; ints of any size pass
+            raise ValueError(f"{name} must be finite, got {value}")
 
 
 @dataclass

@@ -15,8 +15,10 @@ numerical conditioning and escalates on Cholesky failure.
 
 Every Cholesky factorization and solve calls LAPACK's dpotrf/dpotrs
 directly, with SciPy's cholesky/cho_solve arguments and its finite check
-(numpy's asarray_chkfinite), so every fitted theta and acquisition is
-bit-identical to the wrapper path at a fraction of its call overhead.
+(numpy's asarray_chkfinite), and the bounded likelihood fits and
+acquisition polishes run L-BFGS-B through ``lbfgsb.minimize_box`` rather
+than ``scipy.optimize.minimize``, so every fitted theta and acquisition
+is bit-identical to the wrapper path at a fraction of its call overhead.
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ import logging
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize as scipy_minimize
 
 from .core import EvaluationTracker, SearchSpace, SingularKernelError
+from .lbfgsb import minimize_box
 
 logger = logging.getLogger(__name__)
 
@@ -79,9 +81,9 @@ class GaussianProcess:
         self._sq1d_t = np.ascontiguousarray(self._sq1d.transpose(2, 0, 1))
         self._eye = np.eye(len(x))
 
-        span = self.space.span
-        bounds = list(zip(np.log(1e-3 * span), np.log(10.0 * span)))
-        bounds.append((np.log(1e-2), np.log(1e2)))  # log amplitude
+        span = self.space.span  # log length scales, then log amplitude
+        lower = np.append(np.log(1e-3 * span), np.log(1e-2))
+        upper = np.append(np.log(10.0 * span), np.log(1e2))
 
         starts = [np.concatenate([np.log(0.3 * span), [0.0]]),
                   np.concatenate([np.log(1.0 * span), [0.0]])]
@@ -90,11 +92,10 @@ class GaussianProcess:
 
         best_theta, best_nll = starts[0], np.inf
         for theta0 in starts:
-            res = scipy_minimize(self._nll_and_grad, theta0, jac=True,
-                                 method="L-BFGS-B", bounds=bounds,
-                                 options={"maxiter": 50})
-            if res.fun < best_nll:
-                best_nll, best_theta = float(res.fun), res.x
+            theta, nll = minimize_box(self._nll_and_grad, theta0, lower,
+                                      upper, maxiter=50)
+            if nll < best_nll:
+                best_nll, best_theta = float(nll), theta
         self.theta_ = best_theta
         self.length_scales = np.exp(best_theta[:-1])
         self.amplitude = float(np.exp(best_theta[-1]))
@@ -197,15 +198,13 @@ def _minimize_lcb(gp: GaussianProcess, space: SearchSpace, kappa: float,
     scores = gp.lower_confidence_bound(candidates, kappa)
     leaders = candidates[np.argsort(scores)[:ACQUISITION_POLISH]]
 
-    bounds = list(zip(space.lower, space.upper))
     best_x = leaders[0]
     best_val = float(scores.min())
     for s in leaders:
-        res = scipy_minimize(lambda z: gp.lcb_and_grad(z, kappa), s,
-                             jac=True, method="L-BFGS-B", bounds=bounds,
-                             options={"maxiter": 50})
-        if res.fun < best_val:
-            best_val, best_x = float(res.fun), res.x
+        x, value = minimize_box(lambda z: gp.lcb_and_grad(z, kappa), s,
+                                space.lower, space.upper, maxiter=50)
+        if value < best_val:
+            best_val, best_x = float(value), x
     return space.clip(best_x)
 
 

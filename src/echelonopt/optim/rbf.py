@@ -14,17 +14,17 @@ interpolation residual ever exceeds tolerance.
 
 The search alternates two moves after a 2(d+1)-point space-filling
 design: exploitation refits the surrogate around the incumbent and
-minimizes it by candidate scan plus local search (analytic gradient),
-and exploration evaluates the feasible point farthest from everything
-sampled so far, which is what keeps the model honest in unvisited
-regions.  Three details carry the heavy lifting on objectives with
-penalty cliffs: exploit fits use the points nearest the incumbent (a
-distant cliff sample must not distort the local ramp), wide value
-ranges are log-compressed before fitting, and exploit moves cycle
-through coordinate slices so shallow coordinates are not left to random
-walk behind the steep ones.  Proposals too close to an evaluated point
-are nudged away before evaluation so the interpolation system stays
-nonsingular.
+minimizes it by candidate scan plus a bounded L-BFGS-B polish on the
+analytic gradient (``lbfgsb.minimize_box``), and exploration evaluates
+the feasible point farthest from everything sampled so far, which is
+what keeps the model honest in unvisited regions.  Three details carry
+the heavy lifting on objectives with penalty cliffs: exploit fits use
+the points nearest the incumbent (a distant cliff sample must not
+distort the local ramp), wide value ranges are log-compressed before
+fitting, and exploit moves cycle through coordinate slices so shallow
+coordinates are not left to random walk behind the steep ones.
+Proposals too close to an evaluated point are nudged away before
+evaluation so the interpolation system stays nonsingular.
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ import warnings
 
 import numpy as np
 from scipy.linalg import lstsq, solve
-from scipy.optimize import minimize as scipy_minimize
 from scipy.spatial.distance import cdist
 
 from .core import EvaluationTracker, SearchSpace, SingularInterpolationError
+from .lbfgsb import minimize_box
 
 logger = logging.getLogger(__name__)
 
@@ -170,13 +170,10 @@ def _exploit(xs: np.ndarray, ys: np.ndarray, space: SearchSpace,
     # pinned to the incumbent
     lo = np.maximum(space.lower, incumbent - 5.0 * scale)
     hi = np.minimum(space.upper, incumbent + 5.0 * scale)
-    bounds = list(zip(lo, hi))
     best_x, best_val = cloud[order[0]], float(scores[order[0]])
     for s in cloud[order[:EXPLOIT_POLISH]]:
-        res = scipy_minimize(f_and_g, np.clip(s, lo, hi), jac=True,
-                             method="L-BFGS-B", bounds=bounds,
-                             options={"maxiter": 100})
-        polished = preview(space.clip(res.x))
+        x, _ = minimize_box(f_and_g, s, lo, hi, maxiter=100)
+        polished = preview(space.clip(x))
         val = float(surrogate.predict(polished[None, :])[0])
         if val < best_val:
             best_val, best_x = val, polished

@@ -1,7 +1,9 @@
 import inspect
+import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize as scipy_minimize
 
 from echelonopt.config import DEFAULT_OPTIMIZER_SETTINGS, STRATEGIES
 from echelonopt.model import repair_policy_array
@@ -107,20 +109,25 @@ class TestSearchSettings:
         assert {p.name for p in keyword_only} - {"seed", "x0"} == table
         assert all(p.default is p.empty for p in keyword_only)
 
-    @pytest.mark.parametrize("strategy,name,value", [
-        *((strategy, name, value)
+    @pytest.mark.parametrize("strategy,name,value,rule", [
+        *((strategy, name, value, ">= ")
           for strategy, names in [
               ("nelder-mead", ("cycles", "iterations_per_cycle")),
               ("gp", ("cycles", "iterations_per_cycle", "n_random_starts"))]
           for name in names for value in (0, -3)),
-        ("gp", "kappa", -0.5),
+        ("gp", "kappa", -0.5, ">= "),
+        ("gp", "kappa", -math.inf, ">= "),
+        ("gp", "kappa", math.nan, "finite"),
+        ("gp", "kappa", math.inf, "finite"),
+        ("gp", "n_random_starts", math.nan, "finite"),
+        ("nelder-mead", "cycles", math.inf, "finite"),
     ])
     def test_bad_setting_rejected_before_any_evaluation(self, strategy, name,
-                                                        value):
+                                                        value, rule):
         settings = {**dict((s, k) for s, k, _ in STRATEGY_CASES)[strategy],
                     name: value}
         calls = []
-        with pytest.raises(ValueError, match=rf"^{name} must be >= "):
+        with pytest.raises(ValueError, match=rf"^{name} must be {rule}"):
             minimize(lambda x: calls.append(x) or 0.0, SPACE_2D,
                      Budget(max_evaluations=10), strategy=strategy, seed=0,
                      **settings)
@@ -453,8 +460,17 @@ class TestCubicRbf:
 
 
 # The wrapper-path formulas GaussianProcess used before it called LAPACK
-# directly: SciPy's cholesky/cho_solve and one reduction per axis.  The
-# fast path must reproduce them bit for bit.
+# and L-BFGS-B directly: SciPy's cholesky/cho_solve, one reduction per
+# axis and scipy.optimize.minimize.  The fast path must reproduce them
+# bit for bit.
+def scipy_lbfgsb(fun, x0, lower, upper, maxiter):
+    """``lbfgsb.minimize_box`` through SciPy's wrapper: the reference."""
+    res = scipy_minimize(fun, x0, jac=True, method="L-BFGS-B",
+                         bounds=list(zip(lower, upper)),
+                         options={"maxiter": maxiter})
+    return res.x, res.fun
+
+
 def oracle_nll_and_grad(model, theta):
     from scipy.linalg import cho_solve, cholesky
     ell2 = np.exp(2.0 * theta[:-1])
@@ -518,6 +534,11 @@ class OracleGaussianProcess(GaussianProcess):
     _nll_and_grad = oracle_nll_and_grad
     predict = oracle_predict
     lcb_and_grad = oracle_lcb_and_grad
+
+    def fit(self, x, y):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(gp, "minimize_box", scipy_lbfgsb)
+            return super().fit(x, y)
 
 
 def random_gp_data(rng, n, d):
