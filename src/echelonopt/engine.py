@@ -113,10 +113,7 @@ from .model import (
     PolicyVector,
     ScenarioConfig,
 )
-from .sampling import StreamKey, StreamPurpose, bootstrap_draw_array
-# Unused here, but bench/tracing.py wraps engine.bootstrap_draw to count
-# scalar lead draws, so the name stays bound.
-from .sampling import bootstrap_draw  # noqa: F401
+from .sampling import StreamKey, StreamPurpose, bootstrap_draw
 
 _DESTINATION = itemgetter(0)
 TRACE_COLUMNS = ("on_hand", "inv_position", "backorders", "demand", "shipped")
@@ -184,7 +181,7 @@ class _Scenario:
         for i, fid in zip(self.customers, self.network.customer_ids):
             rng = StreamKey(self.base_seed, replication, fid,
                             StreamPurpose.DEMAND).generator()
-            drawn = bootstrap_draw_array(history.demand[fid], rng, horizon)
+            drawn = bootstrap_draw(history.demand[fid], rng, horizon)
             demand_by_day = (0, *drawn.tolist())
             demand.append(demand_by_day)
             total_demand[i] = sum(demand_by_day)
@@ -195,8 +192,7 @@ class _Scenario:
         for f in self.network.facilities:
             rng = StreamKey(self.base_seed, replication, f.id,
                             StreamPurpose.LEAD).generator()
-            deltas = bootstrap_draw_array(history.lead_delta[f.id], rng,
-                                          horizon)
+            deltas = bootstrap_draw(history.lead_delta[f.id], rng, horizon)
             # Python ints, so a huge base lead time cannot wrap
             leads.append(tuple(map(f.base_lead_time.__add__,
                                    deltas.tolist())))

@@ -46,30 +46,27 @@ class _StopSearch(Exception):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Box constraints, one (lower, upper) pair per decision variable."""
+    """Box constraints, one (lower, upper) pair per decision variable,
+    held with ``span = upper - lower`` as read-only copies of their own."""
 
     lower: np.ndarray
     upper: np.ndarray
+    span: np.ndarray
 
     def __init__(self, lower, upper):
-        lo = np.asarray(lower, dtype=float)
-        hi = np.asarray(upper, dtype=float)
+        lo = np.array(lower, dtype=float)
+        hi = np.array(upper, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower and upper must be 1-D and congruent")
         if not np.all(lo < hi):
             raise ValueError("need lower < upper componentwise")
-        lo.setflags(write=False)
-        hi.setflags(write=False)
-        object.__setattr__(self, "lower", lo)
-        object.__setattr__(self, "upper", hi)
+        for name, value in (("lower", lo), ("upper", hi), ("span", hi - lo)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return len(self.lower)
-
-    @property
-    def span(self) -> np.ndarray:
-        return self.upper - self.lower
 
     def clip(self, x: np.ndarray) -> np.ndarray:
         return np.clip(x, self.lower, self.upper)
@@ -218,10 +215,11 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
              log: LogSink | None = None, **strategy_kwargs) -> OptimizerRun:
     """Run one strategy, chosen by name, until its search or budget ends.
 
-    ``repair`` must map each row of a 2-D array of proposals as it maps
-    a single proposal; ``strategy_kwargs`` are the search's settings,
-    checked against ``SETTING_MINIMUMS`` before the search starts.  A
-    given ``x0`` is clipped into the box.
+    ``repair`` must keep points in the box and map each row of a 2-D
+    array of proposals as it maps a single proposal; ``strategy_kwargs``
+    are the search's settings, checked against ``SETTING_MINIMUMS``
+    before the search starts.  A given ``x0`` must be ``space.dim``
+    finite numbers; it is clipped into the box.
     """
     # read at call time: the benchmark's tracer replaces these attributes.
     # The first call loads SciPy here, before the tracker's clock starts.
@@ -234,7 +232,11 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
                          f"expected one of {', '.join(searches)}")
     check_settings(dict(strategy_kwargs, seed=seed))
     if x0 is not None:
-        x0 = space.clip(np.asarray(x0, dtype=float))
+        x0 = np.asarray(x0, dtype=float)
+        if x0.shape != (space.dim,) or not np.isfinite(x0).all():
+            raise ValueError(f"x0 must be {space.dim} finite numbers, "
+                             f"got {x0.tolist()}")
+        x0 = space.clip(x0)
     tracker = EvaluationTracker(objective, budget or Budget(), repair=repair,
                                 log=log)
     try:

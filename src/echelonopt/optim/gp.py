@@ -205,7 +205,7 @@ def _minimize_lcb(gp: GaussianProcess, space: SearchSpace, kappa: float,
                                 space.lower, space.upper, maxiter=50)
         if value < best_val:
             best_val, best_x = float(value), x
-    return space.clip(best_x)
+    return best_x
 
 
 def gp_optimize(tracker: EvaluationTracker, space: SearchSpace, *,

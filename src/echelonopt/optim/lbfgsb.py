@@ -36,8 +36,8 @@ def minimize_box(fun: Callable[[np.ndarray], tuple[float, np.ndarray]],
     wrapper's ``res.x`` and ``res.fun``.
     """
     x = np.asarray(x0, dtype=float)
-    lower = np.array(lower, dtype=float)  # contiguous, as setulb needs
-    upper = np.array(upper, dtype=float)
+    lower = np.ascontiguousarray(lower, dtype=float)  # as setulb needs
+    upper = np.ascontiguousarray(upper, dtype=float)
     if x.ndim != 1 or not x.shape == lower.shape == upper.shape:
         raise ValueError("x0, lower and upper must be 1-D of one length")
     if (lower > upper).any():

@@ -173,11 +173,11 @@ def _exploit(xs: np.ndarray, ys: np.ndarray, space: SearchSpace,
     best_x, best_val = cloud[order[0]], float(scores[order[0]])
     for s in cloud[order[:EXPLOIT_POLISH]]:
         x, _ = minimize_box(f_and_g, s, lo, hi, maxiter=100)
-        polished = preview(space.clip(x))
+        polished = preview(x)
         val = float(surrogate.predict(polished[None, :])[0])
         if val < best_val:
             best_val, best_x = val, polished
-    return space.clip(best_x)
+    return best_x
 
 
 def _explore(evaluated_unit: np.ndarray, space: SearchSpace,

@@ -62,21 +62,16 @@ class StreamKey:
         return np.random.default_rng(seq)
 
 
-def bootstrap_draw(samples, rng: np.random.Generator) -> int:
-    """One uniform draw with replacement from an empirical sample list."""
-    n = len(samples)
-    if n == 0:
-        raise EmptyHistoryError("cannot bootstrap from an empty history")
-    return int(samples[rng.integers(0, n)])
-
-
-def bootstrap_draw_array(samples, rng: np.random.Generator,
-                         size: int) -> np.ndarray:
-    """Vectorized bootstrap for hot paths (one RNG call for `size` draws)."""
+def bootstrap_draw(samples, rng: np.random.Generator,
+                   size: int | None = None) -> int | np.ndarray:
+    """Uniform draws with replacement from an empirical sample list: one
+    int, or with ``size`` an array of that many, from one RNG call."""
     n = len(samples)
     if n == 0:
         raise EmptyHistoryError("cannot bootstrap from an empty history")
     idx = rng.integers(0, n, size=size)
+    if size is None:
+        return int(samples[idx])
     return np.asarray(samples)[idx]
 
 

@@ -53,7 +53,7 @@ from echelonopt.model import (
     PolicyVector,
     ScenarioConfig,
 )
-from echelonopt.sampling import StreamKey, StreamPurpose, bootstrap_draw, bootstrap_draw_array
+from echelonopt.sampling import StreamKey, StreamPurpose, bootstrap_draw
 
 
 class InvalidPolicyError(ValueError):
@@ -233,8 +233,7 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
     for fid in network.customer_ids:
         rng = StreamKey(config.base_seed, replication_index, fid,
                         StreamPurpose.DEMAND).generator()
-        demand_by_day[fid] = bootstrap_draw_array(
-            history.demand[fid], rng, horizon)
+        demand_by_day[fid] = bootstrap_draw(history.demand[fid], rng, horizon)
     lead_rng = {
         fid: StreamKey(config.base_seed, replication_index, fid,
                        StreamPurpose.LEAD).generator()

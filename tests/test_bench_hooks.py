@@ -80,3 +80,20 @@ def test_traced_evaluates_draw_one_scenarios_streams():
     assert tracer.count["sampling.stream"] == scenario.replications * streams
     # network check and history check, once for the scenario
     assert tracer.count["model.validate"] == 2
+
+
+def test_traced_evaluate_counts_each_block_draw():
+    # the benchmark counts lead draws at the name the engine draws through
+    from echelonopt import objective
+    from test_harness import tiny_scenario
+
+    net, hist, scenario, policy, space = tiny_scenario()
+    tracer = tracing.Tracer(tracing.Clock(), 0)
+    patches = tracing.Patches()
+    try:
+        tracing.install_tracer(tracer, patches)
+        objective.evaluate(policy, net, hist, scenario)
+    finally:
+        patches.undo()
+    blocks = len(net.customer_ids) + len(net.ids)
+    assert tracer.count["sampling.lead_draw"] == scenario.replications * blocks

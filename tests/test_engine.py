@@ -400,6 +400,24 @@ class TestMatchesReferenceEngine:
         assert out.total_late["store"] == 3 + 10 + 10
         assert out.final_backorders["store"] == 10
 
+    def test_late_units_count_demand_beyond_the_days_stock(self):
+        # The late rule: a day's late units are max(0, demand - on-hand
+        # after arrivals), even when an older backlog takes that stock
+        # first.  R=5, B=12, start 11, demand 10: day 1 orders 11, due
+        # day 4.  Day 4's arrival of 11 all goes to the backlog of 19,
+        # yet none of that day's 10 units counts as late; counting the
+        # day's own unshipped units would give 39 late and beta 0.22.
+        net = single_facility(base_lead=3)
+        pol = PolicyVector({"store": 5}, {"store": 12})
+        hist = constant_history(net, demand=10)
+        cfg = ScenarioConfig(horizon=5, replications=1, base_seed=1)
+        out = assert_matches_reference(net, pol, hist, cfg, 1, trace=True,
+                                       events=True)
+        assert out.trace["store"]["backorders"] == [0, 9, 19, 18, 28]
+        assert out.trace["store"]["shipped"] == [10, 1, 0, 11, 0]
+        assert out.total_late["store"] == 0 + 9 + 10 + 0 + 10 == 29
+        assert out.beta["store"] == 1 - 29 / 50  # 0.42
+
     @pytest.mark.parametrize("rop,base", [(0, 0), (10**15, 3 * 10**15)],
                              ids=["no-stock", "stocked"])
     def test_weighted_demand_beyond_int64(self, rop, base):

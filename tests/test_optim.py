@@ -5,7 +5,11 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
 
-from echelonopt.config import DEFAULT_OPTIMIZER_SETTINGS, STRATEGIES
+from echelonopt.config import (
+    DEFAULT_OPTIMIZER_SETTINGS,
+    STRATEGIES,
+    load_config,
+)
 from echelonopt.model import repair_policy_array
 from echelonopt.optim import (
     Budget,
@@ -20,6 +24,7 @@ from echelonopt.optim import (
     minimize,
 )
 from echelonopt.optim import gp, nelder_mead, rbf
+from test_acceptance import PRESET
 
 
 def quadratic(x):
@@ -45,6 +50,21 @@ class TestSearchSpace:
     def test_rejects_incongruent_bounds(self, lower, upper):
         with pytest.raises(ValueError, match="1-D and congruent"):
             SearchSpace(lower, upper)
+
+    def test_copies_the_callers_bounds(self):
+        lo, hi = np.zeros(3), np.full(3, 4.0)
+        space = SearchSpace(lo, hi)
+        assert lo.flags.writeable and hi.flags.writeable
+        assert not np.shares_memory(space.lower, lo)
+        assert not np.shares_memory(space.upper, hi)
+        lo[0] = hi[0] = 2.0
+        assert space.lower[0] == 0.0 and space.upper[0] == 4.0
+
+    def test_preset_bounds_are_contiguous_and_read_only(self):
+        space = load_config(PRESET).space
+        for bound in (space.lower, space.upper, space.span):
+            assert bound.flags.c_contiguous and not bound.flags.writeable
+        assert np.array_equal(space.span, space.upper - space.lower)
 
     def test_unit_box_maps(self):
         space = SearchSpace(np.array([0.0, -2.0]), np.array([8.0, 2.0]))
@@ -140,6 +160,22 @@ class TestSearchSettings:
         with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
             minimize(lambda x: calls.append(x) or 0.0, SPACE_2D, budget,
                      strategy=strategy, seed=-1, **kwargs)
+        assert calls == []
+
+    @pytest.mark.parametrize("x0,shown", [
+        ([5.0], r"\[5\.0\]"),
+        ([[1.0, 2.0, 3.0]], r"\[\[1\.0, 2\.0, 3\.0\]\]"),
+        ([1.0, math.nan, 3.0], r"\[1\.0, nan, 3\.0\]"),
+    ], ids=["too-short", "2-D", "nan"])
+    @pytest.mark.parametrize("strategy,kwargs,budget", STRATEGY_CASES)
+    def test_bad_x0_rejected_before_any_evaluation(self, strategy, kwargs,
+                                                   budget, x0, shown):
+        calls = []
+        with pytest.raises(ValueError,
+                           match=rf"^x0 must be 3 finite numbers, got {shown}$"):
+            minimize(lambda x: calls.append(x) or 0.0,
+                     SearchSpace(np.zeros(3), np.full(3, 10.0)), budget,
+                     strategy=strategy, seed=0, x0=x0, **kwargs)
         assert calls == []
 
 

@@ -14,7 +14,6 @@ from echelonopt.sampling import (
     StreamKey,
     StreamPurpose,
     bootstrap_draw,
-    bootstrap_draw_array,
     generate_synthetic_history,
 )
 
@@ -36,14 +35,14 @@ class TestBootstrap:
         with pytest.raises(EmptyHistoryError):
             bootstrap_draw([], rng)
         with pytest.raises(EmptyHistoryError):
-            bootstrap_draw_array([], rng, 5)
+            bootstrap_draw([], rng, 5)
 
     def test_uniform_frequencies_within_three_sigma(self):
         # 1e5 draws over {2,4,6}: each frequency within 3 binomial sigmas
         # of 1/3, sigma = sqrt((1/3)(2/3)/n) ~ 0.00149.
         n = 100_000
         rng = StreamKey(12345, 1, "store", StreamPurpose.DEMAND).generator()
-        draws = bootstrap_draw_array([2, 4, 6], rng, n)
+        draws = bootstrap_draw([2, 4, 6], rng, n)
         sigma = np.sqrt((1 / 3) * (2 / 3) / n)
         for value in (2, 4, 6):
             freq = np.mean(draws == value)
@@ -59,17 +58,17 @@ class TestBootstrap:
         key = StreamKey(7, 2, "store", StreamPurpose.LEAD)
         scalar_rng = key.generator()
         scalar = [bootstrap_draw(samples, scalar_rng) for _ in range(400)]
-        block = bootstrap_draw_array(samples, key.generator(), 400)
+        block = bootstrap_draw(samples, key.generator(), 400)
         assert block.tolist() == scalar
         chunked_rng = key.generator()
-        chunks = (bootstrap_draw_array(samples, chunked_rng, 150).tolist()
-                  + bootstrap_draw_array(samples, chunked_rng, 250).tolist())
+        chunks = (bootstrap_draw(samples, chunked_rng, 150).tolist()
+                  + bootstrap_draw(samples, chunked_rng, 250).tolist())
         assert chunks == scalar
 
     def test_same_stream_key_reproduces_sequence(self):
         key = StreamKey(99, 3, "store", StreamPurpose.LEAD)
-        first = bootstrap_draw_array([1, 2, 3, 4], key.generator(), 50)
-        second = bootstrap_draw_array([1, 2, 3, 4], key.generator(), 50)
+        first = bootstrap_draw([1, 2, 3, 4], key.generator(), 50)
+        second = bootstrap_draw([1, 2, 3, 4], key.generator(), 50)
         assert np.array_equal(first, second)
 
     @given(st.lists(st.integers(0, 10_000), min_size=1, max_size=30),
@@ -78,7 +77,7 @@ class TestBootstrap:
     def test_draws_stay_in_empirical_support(self, samples, seed):
         rng = np.random.default_rng(seed)
         support = set(samples)
-        for value in bootstrap_draw_array(samples, rng, 40):
+        for value in bootstrap_draw(samples, rng, 40):
             assert int(value) in support
 
     def test_streams_are_separated(self):
@@ -87,8 +86,8 @@ class TestBootstrap:
         demand_key = StreamKey(base, rep, "A", StreamPurpose.DEMAND)
         lead_key = StreamKey(base, rep, "B", StreamPurpose.LEAD)
 
-        undisturbed = bootstrap_draw_array(range(1000),
-                                           demand_key.generator(), 100)
+        undisturbed = bootstrap_draw(range(1000),
+                                     demand_key.generator(), 100)
         lead_rng = lead_key.generator()
         demand_rng = demand_key.generator()
         interleaved = []
@@ -109,7 +108,7 @@ class TestBootstrap:
             StreamKey(1 + 2**64, 1, "A", StreamPurpose.DEMAND),
             StreamKey(1, 1 + 2**32, "A", StreamPurpose.DEMAND),
         ]
-        seqs = [tuple(bootstrap_draw_array(samples, k.generator(), 20))
+        seqs = [tuple(bootstrap_draw(samples, k.generator(), 20))
                 for k in keys]
         assert len(set(seqs)) == len(seqs)
 
