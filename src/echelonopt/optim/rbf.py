@@ -17,14 +17,20 @@ design: exploitation refits the surrogate around the incumbent and
 minimizes it by candidate scan plus a bounded L-BFGS-B polish on the
 analytic gradient (``lbfgsb.minimize_box``), and exploration evaluates
 the feasible point farthest from everything sampled so far, which is
-what keeps the model honest in unvisited regions.  Three details carry
-the heavy lifting on objectives with penalty cliffs: exploit fits use
-the points nearest the incumbent (a distant cliff sample must not
-distort the local ramp), wide value ranges are log-compressed before
-fitting, and exploit moves cycle through coordinate slices so shallow
-coordinates are not left to random walk behind the steep ones.
-Proposals too close to an evaluated point are nudged away before
-evaluation so the interpolation system stays nonsingular.
+what keeps the model honest in unvisited regions.  The explore move
+returns exactly the candidate a full max-min-distance scan would pick,
+without that scan: each candidate's distance to a few probe rows bounds
+its nearest distance, and exact nearest distances are computed in
+descending bound order until no remaining bound can win.  It calls
+``cdist`` only, no BLAS routine, so the choice does not depend on the
+BLAS thread count.  Three details carry the heavy lifting on objectives
+with penalty cliffs: exploit fits use the points nearest the incumbent
+(a distant cliff sample must not distort the local ramp), wide value
+ranges are log-compressed before fitting, and exploit moves cycle
+through coordinate slices so shallow coordinates are not left to random
+walk behind the steep ones.  Proposals too close to an evaluated point
+are nudged away before evaluation so the interpolation system stays
+nonsingular.
 """
 
 from __future__ import annotations
@@ -47,6 +53,8 @@ MIN_SEPARATION = 1e-5  # in unit-box coordinates
 EXPLOIT_CANDIDATES = 600  # Gaussian cloud around the incumbent
 EXPLOIT_POLISH = 3  # best cloud points polished by L-BFGS-B
 EXPLORE_CANDIDATES = 2000  # uniform draws for the max-min-distance move
+EXPLORE_PROBES = 8  # evaluated rows whose distances bound each candidate's
+EXPLORE_BLOCK = 64  # candidates checked exactly per step, in bound order
 
 
 class CubicRbfSurrogate:
@@ -180,12 +188,34 @@ def _exploit(xs: np.ndarray, ys: np.ndarray, space: SearchSpace,
     return best_x
 
 
+def _farthest(candidates: np.ndarray, evaluated_unit: np.ndarray) -> int:
+    """``argmax(cdist(candidates, evaluated_unit).min(axis=1))``, exactly.
+
+    Ties go to the lowest index.  Probe distances only bound a
+    candidate's nearest distance from above, and every compared number
+    is a ``cdist`` entry, which has the same bits in any block.
+    """
+    step = -(-len(evaluated_unit) // EXPLORE_PROBES)
+    bound = cdist(candidates, evaluated_unit[::step]).min(axis=1)
+    order = np.argsort(-bound)
+    best, best_dist = -1, -np.inf
+    for start in range(0, len(order), EXPLORE_BLOCK):
+        block = order[start:start + EXPLORE_BLOCK]
+        if bound[block[0]] < best_dist:
+            break
+        dist = cdist(candidates[block], evaluated_unit).min(axis=1)
+        top = dist.max()
+        if top >= best_dist:
+            first = int(block[dist == top].min())
+            best = first if top > best_dist else min(best, first)
+            best_dist = top
+    return best
+
+
 def _explore(evaluated_unit: np.ndarray, space: SearchSpace,
              rng: np.random.Generator) -> np.ndarray:
     candidates = rng.uniform(size=(EXPLORE_CANDIDATES, space.dim))
-    min_dist = cdist(candidates, evaluated_unit).min(axis=1)
-    best = candidates[int(np.argmax(min_dist))]
-    return space.from_unit(best)
+    return space.from_unit(candidates[_farthest(candidates, evaluated_unit)])
 
 
 def rbf_optimize(tracker: EvaluationTracker, space: SearchSpace, *,

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 from scipy.optimize import minimize as scipy_minimize
+from scipy.spatial.distance import cdist
 
 from echelonopt.config import (
     DEFAULT_OPTIMIZER_SETTINGS,
@@ -493,6 +494,72 @@ class TestCubicRbf:
         run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=80),
                        strategy="rbf", seed=6)
         assert run.best_value < 1e-3
+
+
+
+def full_scan(candidates, evaluated):
+    """The max-min-distance scan ``rbf._farthest`` must reproduce."""
+    return int(np.argmax(cdist(candidates, evaluated).min(axis=1)))
+
+
+def random_explore_case(rng):
+    """Candidates and evaluated rows, some on a lattice or duplicated."""
+    d = int(rng.integers(1, 41))
+    n = int(rng.integers(1, rbf.EXPLORE_PROBES + 1) if rng.random() < 0.2
+            else rng.integers(1, 301))
+    m = int(rng.integers(1, 401))
+    kind = rng.integers(4)
+    if kind == 0:  # plain uniform draws, as _explore makes them
+        evaluated = rng.uniform(size=(n, d))
+        candidates = rng.uniform(size=(m, d))
+    else:  # lattice values: many exactly equal distances
+        steps = int(rng.integers(1, 5))
+        evaluated = rng.integers(0, steps + 1, (n, d)) / steps
+        candidates = rng.integers(0, steps + 1, (m, d)) / steps
+    if kind >= 2:  # duplicated evaluated and candidate rows
+        evaluated = evaluated[rng.integers(0, n, n)]
+        candidates = candidates[rng.integers(0, m, m)]
+    return candidates, evaluated
+
+
+class TestFarthest:
+    def test_farthest_equals_full_scan(self):
+        rng = np.random.default_rng(24)
+        ties = 0
+        for case in range(1200):
+            candidates, evaluated = random_explore_case(rng)
+            expected = full_scan(candidates, evaluated)
+            assert rbf._farthest(candidates, evaluated) == expected, case
+            nearest = cdist(candidates, evaluated).min(axis=1)
+            ties += np.count_nonzero(nearest == nearest[expected]) > 1
+        assert ties > 300  # the lowest-index rule was exercised
+
+    def test_farthest_tie_goes_to_lower_index(self, monkeypatch):
+        # one probe row (0.0) and one candidate per block: candidate 1's
+        # bound puts it first, and candidate 0 ties it exactly with a
+        # bound equal to the best distance, so it must still be checked
+        monkeypatch.setattr(rbf, "EXPLORE_PROBES", 1)
+        monkeypatch.setattr(rbf, "EXPLORE_BLOCK", 1)
+        evaluated = np.array([[0.0], [1.0]])
+        candidates = np.array([[0.25], [0.75], [0.1]])
+        assert full_scan(candidates, evaluated) == 0
+        assert rbf._farthest(candidates, evaluated) == 0
+
+    def test_cdist_sub_block_is_bit_identical(self):
+        # _farthest compares distances computed in different blocks; it
+        # is exact only while cdist gives a pair the same bits in any
+        # block, strided rows included
+        rng = np.random.default_rng(7)
+        for case in range(600):
+            d = int(rng.integers(1, 41))
+            a = rng.uniform(size=(int(rng.integers(1, 200)), d))
+            b = rng.uniform(size=(int(rng.integers(1, 200)), d))
+            rows = rng.integers(0, len(a), int(rng.integers(1, 80)))
+            step = int(rng.integers(1, 10))
+            full = cdist(a, b)
+            block = cdist(a[rows], b[::step])
+            assert np.array_equal(full[rows][:, ::step].view(np.uint64),
+                                  block.view(np.uint64)), case
 
 
 # The wrapper-path formulas GaussianProcess used before it called LAPACK
