@@ -347,7 +347,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         return _fail(str(exc))
-    except (OSError, ValueError, BudgetExhaustedError,
+    except (OSError, ValueError, MemoryError, BudgetExhaustedError,
             SingularKernelError) as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
 

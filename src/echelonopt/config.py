@@ -235,12 +235,14 @@ def _load_generator(raw: dict, network: NetworkSpec) -> HistoryGenParams:
 def merge_optimizer_settings(strategy: str, given: dict) -> dict:
     """The strategy's defaults with ``given`` laid over them.
 
-    A setting takes the type of its default: an int setting takes only
-    integral numbers, a float setting any finite number.  A key the
-    strategy has no default for, or a value that does not fit its type,
-    its minimum (``optim.core.SETTING_MINIMUMS``) or the run's Budget,
-    raises ConfigError naming ``optimizers.<strategy>.<key>``.
+    A setting takes its default's type: an int only integral numbers, a
+    float any finite number.  An unknown strategy raises ConfigError
+    naming it and STRATEGIES; a key the strategy has no default for, or
+    a value that misses its type, minimum (``optim.core.SETTING_MINIMUMS``)
+    or the run's Budget, one naming ``optimizers.<strategy>.<key>``.
     """
+    _reject_unknown({strategy: given}, DEFAULT_OPTIMIZER_SETTINGS,
+                    "optimizers", "strategies")
     context = f"optimizers.{strategy}"
     defaults = DEFAULT_OPTIMIZER_SETTINGS[strategy]
     _reject_unknown(given, defaults, context, "settings")

@@ -166,8 +166,8 @@ class _Scenario:
         self._draws: dict[int, tuple] = {}
 
     def draws(self, replication: int) -> tuple:
-        """Demand per customer (indexed by day from 1), then demand total,
-        weighted demand ``W`` and lead times per facility."""
+        """A (position, demand by day from 1) pair per customer, then
+        demand total, weighted demand ``W`` and lead times per facility."""
         tables = self._draws.get(replication)
         if tables is None:
             tables = self._draws[replication] = self._draw(replication)
@@ -175,7 +175,7 @@ class _Scenario:
 
     def _draw(self, replication: int) -> tuple:
         history, horizon = self.history, self.horizon
-        demand = []
+        customers = []
         total_demand = [0] * len(self.ids)
         weighted_demand = [0] * len(self.ids)
         for i, fid in zip(self.customers, self.network.customer_ids):
@@ -183,7 +183,7 @@ class _Scenario:
                             StreamPurpose.DEMAND).generator()
             drawn = bootstrap_draw(history.demand[fid], rng, horizon)
             demand_by_day = (0, *drawn.tolist())
-            demand.append(demand_by_day)
+            customers.append((i, demand_by_day))
             total_demand[i] = sum(demand_by_day)
             # day d's demand is in horizon + 1 - d running totals; Python
             # ints, so W cannot overflow
@@ -196,7 +196,7 @@ class _Scenario:
             # Python ints, so a huge base lead time cannot wrap
             leads.append(tuple(map(f.base_lead_time.__add__,
                                    deltas.tolist())))
-        return (tuple(demand), tuple(total_demand), tuple(weighted_demand),
+        return (tuple(customers), tuple(total_demand), tuple(weighted_demand),
                 tuple(leads))
 
 
@@ -225,9 +225,8 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
         if fid not in policy.reorder_point:
             raise InvalidPolicyError(f"policy missing facility {fid}")
     upstream, suppliers = prepared.upstream, prepared.suppliers
-    customer_demand, total_demand, weighted_demand, leads = \
+    customers, total_demand, weighted_demand, leads = \
         prepared.draws(replication_index)
-    customers = list(zip(prepared.customers, customer_demand))
     next_lead = [iter(lead).__next__ for lead in leads]
 
     horizon = config.horizon

@@ -26,6 +26,9 @@ from .optim import Budget, OptimizerRun, SearchSpace, minimize
 
 
 def derive_strategy_seed(shared_seed: int, strategy: str) -> int:
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; "
+                         f"expected one of {', '.join(STRATEGIES)}")
     seq = np.random.SeedSequence(shared_seed,
                                  spawn_key=(STRATEGIES.index(strategy),))
     return int(seq.generate_state(1, dtype=np.uint64)[0])

@@ -263,15 +263,14 @@ def repair_policy_array(raw: np.ndarray, lower: np.ndarray,
     Each value is clamped to its box bound and rounded to the nearest
     integer, then every base stock is lifted to its reorder point so
     B >= R holds.  Idempotent.  The box is expected to use integer bounds
-    with B's upper bound >= R's (the config loader enforces this), so the
-    lift cannot leave the box.
+    with B's upper bound >= R's (the config loader enforces this), so
+    rounding a clamped value cannot leave the box, nor can the lift.
     """
     raw = np.asarray(raw, dtype=float)
     if not np.all(np.isfinite(raw)):
         raise NonFiniteInputError("policy proposal contains NaN or infinity")
     x = np.clip(raw, lower, upper)
     x = np.rint(x)
-    x = np.clip(x, lower, upper)
     n = x.shape[-1] // 2
     x[..., n:] = np.maximum(x[..., n:], x[..., :n])
     return x

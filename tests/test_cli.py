@@ -162,6 +162,16 @@ class TestSimulate:
         assert code == 1
         assert "replication_index must be >= 1" in capsys.readouterr().err
 
+    def test_impossible_horizon_is_one_error_line(self, config_path,
+                                                  history_dir, capsys):
+        # numpy refuses 10**15 days of draws before touching memory
+        code = main(["simulate", "--config", config_path,
+                     "--history-dir", history_dir, "--horizon", str(10**15)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: MemoryError: ")
+
 
 class TestEvaluate:
     def test_feasible_initial_guess_exits_zero(self, config_path,
@@ -258,6 +268,38 @@ class TestOptimize:
         assert point == [
             *(raw["initial_policy"][f]["reorder_point"] for f in ids),
             *(raw["initial_policy"][f]["base_stock"] for f in ids)]
+
+    def test_best_policy_evaluates_to_the_best_z(self, config_path,
+                                                 history_dir, tmp_path):
+        out = tmp_path / "run"
+        assert main(["optimize", "--config", config_path,
+                     "--history-dir", history_dir, "--strategy", "rbf",
+                     "--out", str(out), "--max-evals", "20",
+                     *TINY_OVERRIDES]) == 0
+        summary = json.loads((out / "summary_rbf_backorder.json").read_text())
+        code = main(["evaluate", "--config", config_path,
+                     "--history-dir", history_dir, *TINY_OVERRIDES,
+                     "--policy", str(out / "best_policy_rbf_backorder.json"),
+                     "--out", str(tmp_path / "evaluate")])
+        report = json.loads(
+            (tmp_path / "evaluate" / "evaluation.json").read_text())
+        assert report["z"] == summary["best_z"]
+        assert code == (0 if report["feasible"] else 2)
+        assert report["feasible"] == summary["feasible"]
+
+    def test_impossible_horizon_is_one_error_line(self, config_path,
+                                                  history_dir, tmp_path,
+                                                  capsys):
+        out = tmp_path / "run"
+        code = main(["optimize", "--config", config_path,
+                     "--history-dir", history_dir, "--strategy", "rbf",
+                     "--out", str(out), "--max-evals", "3",
+                     "--replications", "1", "--horizon", str(10**15)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error: MemoryError: ")
+        assert not out.exists()
 
     def test_gp_without_random_starts_exits_one(self, history_dir, tmp_path,
                                                 capsys):

@@ -78,3 +78,13 @@ assert main(["optimize", *history, "--out", out + "/run", "--strategy",
              "--horizon", "30"]) == 0
 assert loaded == [True], loaded
 """, PRESET, tmp_path)
+
+
+def test_unknown_attribute_loads_no_scipy():
+    # the lazy loader rejects a name before it imports a search module
+    run_python("""
+import sys
+import echelonopt.optim
+assert not hasattr(echelonopt.optim, "nope")
+assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+""")

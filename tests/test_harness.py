@@ -3,9 +3,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from echelonopt import harness
-from echelonopt.config import STRATEGIES
+from echelonopt.config import STRATEGIES, merge_optimizer_settings
 from echelonopt.harness import (
     StrategyResult,
     comparison_table,
@@ -22,7 +23,7 @@ from echelonopt.model import (
     ScenarioConfig,
 )
 from echelonopt.objective import evaluate
-from echelonopt.optim import OptimizerRun, SearchSpace
+from echelonopt.optim import OptimizerRun, SearchSpace, minimize
 
 
 def test_strategy_seeds_disjoint_and_stable():
@@ -106,6 +107,34 @@ def test_run_strategy_evaluates_only_the_run_and_its_best(monkeypatch):
     assert calls[0] == policy
     assert result.initial_z == result.run.evaluated_values[0]
     assert result.report.z == result.run.best_value
+
+
+@pytest.mark.parametrize("entry_point", ["merge_optimizer_settings",
+                                         "run_strategy",
+                                         "derive_strategy_seed", "minimize"])
+def test_unknown_strategy_is_a_value_error(monkeypatch, entry_point):
+    net, hist, scenario, policy, space = tiny_scenario()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "evaluate", counted)
+    call = {
+        "merge_optimizer_settings":
+            lambda: merge_optimizer_settings("bogus", {}),
+        "run_strategy": lambda: run_strategy("bogus", net, hist, scenario,
+                                             space, policy),
+        "derive_strategy_seed": lambda: derive_strategy_seed(1, "bogus"),
+        "minimize": lambda: minimize(lambda x: calls.append(x) or 0.0,
+                                     space, strategy="bogus"),
+    }[entry_point]
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert "'bogus'" in str(caught.value)
+    assert all(strategy in str(caught.value) for strategy in STRATEGIES)
+    assert calls == []
 
 
 def test_reduction_from_an_initial_z_of_zero_is_zero():
