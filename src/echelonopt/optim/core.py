@@ -11,7 +11,10 @@ policies), so reported points are the repaired ones.  It checks the wall
 time before each evaluation, stops the search right after the last
 allowed evaluation, rejects a value that is not finite, keeps every
 point and value as the run's only record, and streams one log record
-per evaluation to an optional sink.
+per evaluation to an optional sink.  The objective must be a function of
+the point alone: the tracker calls it once per distinct repaired point
+and answers a repeat from its memo, which still counts against the
+budget and is still recorded and logged.
 """
 
 from __future__ import annotations
@@ -155,6 +158,7 @@ class EvaluationTracker:
         self.started_cpu = time.process_time()
         self.points: list[np.ndarray] = []
         self.values: list[float] = []
+        self._memo: dict[bytes, float] = {}  # repaired point -> value
         self.best_point: np.ndarray | None = None
         self.best_value = float("inf")
 
@@ -176,10 +180,14 @@ class EvaluationTracker:
         if self.elapsed() >= self.budget.max_minutes * 60.0:
             raise _StopSearch()  # finish raises if nothing was evaluated
         x = self.preview(x)
-        value = float(self.objective(x))
-        if not np.isfinite(value):
-            raise NonFiniteObjectiveError(
-                f"objective returned {value} at {x.tolist()}")
+        key = x.tobytes()
+        value = self._memo.get(key)
+        if value is None:
+            value = float(self.objective(x))
+            if not np.isfinite(value):
+                raise NonFiniteObjectiveError(
+                    f"objective returned {value} at {x.tolist()}")
+            self._memo[key] = value
         self.points.append(x.copy())
         self.values.append(value)
         if value < self.best_value:

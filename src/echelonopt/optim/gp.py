@@ -19,6 +19,14 @@ directly, with SciPy's cholesky/cho_solve arguments and its finite check
 acquisition polishes run L-BFGS-B through ``lbfgsb.minimize_box`` rather
 than ``scipy.optimize.minimize``, so every fitted theta and acquisition
 is bit-identical to the wrapper path at a fraction of its call overhead.
+
+The kernel's per-axis terms are kept as one contiguous plane per axis.
+Each likelihood call divides the squared differences by the squared
+length scales once, into one ratio array that K's exponent and the
+gradient both read, and the prediction scan builds its scaled
+differences in the same layout.  ``_plane_sum`` adds those planes in the
+order numpy's pairwise summation adds a contiguous row of length d, so K
+and every prediction equal the per-point row sums bit for bit.
 """
 
 from __future__ import annotations
@@ -56,6 +64,41 @@ def _cho_solve(chol: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
+def _plane_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of a (d, ...) array over its first axis, bit for bit equal to
+    ``np.ascontiguousarray(np.moveaxis(a, 0, -1)).sum(axis=-1)``.
+
+    numpy reduces a contiguous row from +0.0 by pairwise summation: eight
+    running sums over blocks of eight, a fixed tree, the tail in order,
+    and a split into halves past 128.  Adding whole planes in that order
+    gives every element the same roundings, signed zeros included.
+    """
+    total = _pairwise(a)
+    if len(a) >= 8:
+        total += 0.0  # the +0.0 the reduction starts from: -0.0 -> +0.0
+    return total
+
+
+def _pairwise(a: np.ndarray) -> np.ndarray:
+    d = len(a)
+    if d < 8:
+        total = a[0] + 0.0
+        for plane in a[1:]:
+            total += plane
+        return total
+    if d > 128:
+        half = d // 2 - (d // 2) % 8
+        return _pairwise(a[:half]) + _pairwise(a[half:])
+    blocks = d - d % 8
+    r = a[:8] if blocks == 8 else a[:8] + a[8:16]
+    for i in range(16, blocks, 8):
+        r += a[i:i + 8]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for plane in a[blocks:]:
+        total += plane
+    return total
+
+
 class GaussianProcess:
     """Zero-mean GP on standardized targets, squared-exponential kernel."""
 
@@ -74,12 +117,14 @@ class GaussianProcess:
         if self._y_scale < 1e-12:
             self._y_scale = 1.0
         self._yc = (y - self._y_mean) / self._y_scale
-        # per-fit invariants of the likelihood: per-axis squared coordinate
-        # differences (n, n, d), their per-axis (d, n, n) copy for the
-        # gradient, and the identity that K^-1 is solved from
-        self._sq1d = (x[:, None, :] - x[None, :, :]) ** 2
-        self._sq1d_t = np.ascontiguousarray(self._sq1d.transpose(2, 0, 1))
+        # per-fit invariants of the likelihood: the squared coordinate
+        # differences as one C-ordered (n, n) plane per axis (the gradient
+        # sums each plane as one flat row), the identity that K^-1 is
+        # solved from and the Gaussian's constant term
+        xt = np.ascontiguousarray(x.T)
+        self._sq1d_t = (xt[:, :, None] - xt[:, None, :]) ** 2
         self._eye = np.eye(len(x))
+        self._nll_const = 0.5 * len(x) * np.log(2 * np.pi)
 
         span = self.space.span  # log length scales, then log amplitude
         lower = np.append(np.log(1e-3 * span), np.log(1e-2))
@@ -99,17 +144,28 @@ class GaussianProcess:
         self.theta_ = best_theta
         self.length_scales = np.exp(best_theta[:-1])
         self.amplitude = float(np.exp(best_theta[-1]))
+        # per-fit constants of the kernel and the acquisition
+        self._ell2 = self.length_scales ** 2
+        self._amp2 = self.amplitude ** 2
+        self._x_scaled_t = np.ascontiguousarray((x / self.length_scales).T)
         self._factorize()
         return self
 
-    def _kernel(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        d = a[:, None, :] / self.length_scales - b[None, :, :] / self.length_scales
-        return self.amplitude ** 2 * np.exp(-0.5 * np.sum(d * d, axis=2))
+    def _kernel(self, x: np.ndarray) -> np.ndarray:
+        """K(x, x_train) from one (m, n) plane of scaled differences
+        per axis."""
+        xt = np.ascontiguousarray((x / self.length_scales).T)
+        diff = xt[:, :, None] - self._x_scaled_t[:, None, :]
+        np.multiply(diff, diff, out=diff)
+        return self._amp2 * np.exp(-0.5 * _plane_sum(diff))
 
     def _nll_and_grad(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
         ell2 = np.exp(2.0 * theta[:-1])
         amp2 = np.exp(2.0 * theta[-1])
-        k = amp2 * np.exp(-0.5 * (self._sq1d / ell2).sum(axis=2))
+        # one ratio plane (x_ik - x_jk)^2 / ell_k^2 per axis k: K's
+        # exponent sums the planes, the gradient weighs each by W * K
+        ratio = self._sq1d_t / ell2[:, None, None]
+        k = amp2 * np.exp(-0.5 * _plane_sum(ratio))
         n, d = len(k), len(ell2)
         kj = k.copy()
         kj.flat[::n + 1] += BASE_JITTER * amp2 + 1e-12
@@ -119,24 +175,24 @@ class GaussianProcess:
         alpha = _cho_solve(chol, self._yc)
         nll = (0.5 * float(self._yc @ alpha)
                + float(np.log(np.diag(chol)).sum())
-               + 0.5 * n * np.log(2 * np.pi))
+               + self._nll_const)
         # dNLL/dtheta_j = 0.5 tr((K^-1 - alpha alpha^T) dK/dtheta_j)
         k_inv = _cho_solve(chol, self._eye)
-        w = k_inv - np.outer(alpha, alpha)
+        w = k_inv - alpha[:, None] * alpha
         grad = np.empty_like(theta)
         wk = w * k
-        # one contiguous n*n row per axis, each summed pairwise along its
-        # length; einsum, a matmul or an axis-0 sum would add in another
-        # order and change the bits of theta
-        grad[:-1] = 0.5 * (wk * (self._sq1d_t / ell2[:, None, None])
-                           ).reshape(d, -1).sum(axis=1)
-        grad[-1] = float(wk.sum()) \
-            + BASE_JITTER * amp2 * float(np.trace(w))
+        # the ratio planes, weighted in place, are one contiguous n*n row
+        # per axis, each summed pairwise along its length; einsum, a
+        # matmul or an axis-0 sum would add in another order and change
+        # the bits of theta
+        np.multiply(wk, ratio, out=ratio)
+        grad[:-1] = 0.5 * ratio.reshape(d, -1).sum(axis=1)
+        grad[-1] = float(wk.sum()) + BASE_JITTER * amp2 * float(w.trace())
         return nll, grad
 
     def _factorize(self) -> None:
-        k = self._kernel(self.x_train, self.x_train)
-        scale = self.amplitude ** 2
+        k = self._kernel(self.x_train)
+        scale = self._amp2
         jitter = BASE_JITTER
         while True:  # self._chol: K's lower factor, upper triangle zero
             self._chol = _lower_cholesky(k + jitter * scale * self._eye)
@@ -154,10 +210,10 @@ class GaussianProcess:
     def predict(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and standard deviation on the original y scale."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        k_star = self._kernel(x, self.x_train)
+        k_star = self._kernel(x)
         mu = k_star @ self._alpha
         v = _cho_solve(self._chol, np.asarray_chkfinite(k_star).T)
-        var = self.amplitude ** 2 - np.sum(k_star * v.T, axis=1)
+        var = self._amp2 - np.sum(k_star * v.T, axis=1)
         var = np.maximum(var, 0.0)
         return (mu * self._y_scale + self._y_mean,
                 np.sqrt(var) * self._y_scale)
@@ -171,15 +227,14 @@ class GaussianProcess:
                      kappa: float) -> tuple[float, np.ndarray]:
         """Acquisition value and its analytic gradient at a single point."""
         x = np.asarray(x, dtype=float)
-        ell2 = self.length_scales ** 2
+        ell2 = self._ell2
         diff = self.x_train - x[None, :]
-        k_star = self.amplitude ** 2 * np.exp(
-            -0.5 * np.sum(diff * diff / ell2, axis=1))
+        k_star = self._amp2 * np.exp(-0.5 * (diff * diff / ell2).sum(axis=1))
         dk = (k_star[:, None] * diff) / ell2  # rows: dk_i/dx
         mu = float(k_star @ self._alpha)
         dmu = self._alpha @ dk
         v = _cho_solve(self._chol, np.asarray_chkfinite(k_star))
-        var = max(self.amplitude ** 2 - float(k_star @ v), 0.0)
+        var = max(self._amp2 - float(k_star @ v), 0.0)
         sigma = np.sqrt(var)
         if sigma > 1e-12 * self.amplitude:
             dsigma = -(v @ dk) / sigma

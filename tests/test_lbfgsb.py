@@ -119,7 +119,6 @@ def test_flat_penalty_with_zero_gradient():
     model = GaussianProcess(space).fit([[0.0], [0.5], [1.0]],
                                        [0.0, 1.0, 0.0])
     sq = np.array([[0.0, 0.0, 1e4], [0.0, 0.0, 0.0], [1e4, 0.0, 0.0]])
-    model._sq1d = sq[:, :, None]
     model._sq1d_t = sq[None, :, :].copy()
     theta = np.zeros(2)
     assert model._nll_and_grad(theta)[0] == 1e25

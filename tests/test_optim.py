@@ -248,6 +248,46 @@ class TestMinimizeContract:
         tracker(np.array([1.0, 2.0]))
         assert seen[0].tolist() == tracker.points[0].tolist() == [2.0, 3.0]
 
+    def test_repeated_points_are_scored_once(self, monkeypatch):
+        lo, hi = np.zeros(4), np.full(4, 60.0)
+        space = SearchSpace(lo, hi)
+
+        def run():
+            calls, rows = [], []
+            result = minimize(
+                lambda x: calls.append(x.tobytes()) or quadratic(x), space,
+                Budget(max_evaluations=120), strategy="nelder-mead", seed=2,
+                x0=np.full(4, 36.0), cycles=4, iterations_per_cycle=30,
+                repair=lambda x: repair_policy_array(x, lo, hi),
+                log=lambda i, x, z, best: rows.append((i, x.tolist(), z,
+                                                       best)))
+            return result, calls, rows
+
+        memo, memo_calls, memo_rows = run()
+
+        class Forgetful(dict):  # no memo: every point is scored
+            def __setitem__(self, key, value):
+                pass
+        init = EvaluationTracker.__init__
+
+        def forgetful_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            self._memo = Forgetful()
+        monkeypatch.setattr(EvaluationTracker, "__init__", forgetful_init)
+        plain, plain_calls, plain_rows = run()
+
+        rows = [p.tobytes() for p in plain.evaluated_points]
+        assert len(plain_calls) == plain.evaluations_used == 120
+        assert len(set(rows)) < 60  # the search repeats points
+        assert memo_calls == list(dict.fromkeys(rows))  # once per distinct
+        assert np.array_equal(memo.evaluated_points, plain.evaluated_points)
+        assert np.array_equal(memo.evaluated_values, plain.evaluated_values)
+        assert np.array_equal(memo.best_so_far_trace,
+                              plain.best_so_far_trace)
+        assert memo_rows == plain_rows
+        assert (memo.best_value, memo.evaluations_used) == \
+            (plain.best_value, plain.evaluations_used)
+
     def test_log_sink_sees_every_evaluation(self):
         records = []
         budget = Budget(max_evaluations=25)
@@ -574,11 +614,19 @@ def scipy_lbfgsb(fun, x0, lower, upper, maxiter):
     return res.x, res.fun
 
 
+def oracle_kernel(model, a, b):
+    ell = model.length_scales
+    d = a[:, None, :] / ell - b[None, :, :] / ell
+    return model.amplitude ** 2 * np.exp(-0.5 * np.sum(d * d, axis=2))
+
+
 def oracle_nll_and_grad(model, theta):
     from scipy.linalg import cho_solve, cholesky
     ell2 = np.exp(2.0 * theta[:-1])
     amp2 = np.exp(2.0 * theta[-1])
-    scaled = model._sq1d / ell2
+    # per point pair, one contiguous row of d squared differences
+    sq1d = np.ascontiguousarray(model._sq1d_t.transpose(1, 2, 0))
+    scaled = sq1d / ell2
     k = amp2 * np.exp(-0.5 * scaled.sum(axis=2))
     kj = k.copy()
     kj[np.diag_indices_from(kj)] += gp.BASE_JITTER * amp2 + 1e-12
@@ -603,7 +651,7 @@ def oracle_nll_and_grad(model, theta):
 def oracle_predict(model, x):
     from scipy.linalg import cho_solve
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    k_star = model._kernel(x, model.x_train)
+    k_star = oracle_kernel(model, x, model.x_train)
     mu = k_star @ model._alpha
     v = cho_solve((model._chol, True), k_star.T)
     var = np.maximum(model.amplitude ** 2 - np.sum(k_star * v.T, axis=1),
@@ -660,11 +708,29 @@ def random_theta(rng, space):
                            [rng.uniform(np.log(1e-2), np.log(1e2))]])
 
 
+def test_plane_sum_equals_numpys_row_sum():
+    """gp._plane_sum against numpy's own reduction of contiguous rows,
+    on every width from 1 to 300 and on zeros of either sign."""
+    rng = np.random.default_rng(26)
+    for d in range(1, 301):
+        a = rng.standard_normal((d, 4, 5)) * 10.0 ** rng.integers(-9, 9,
+                                                                 (d, 4, 5))
+        a[:, 0, 0] = -0.0  # all -0.0: numpy's sum is +0.0
+        a[:, 0, 1] = 0.0
+        a[:, 0, 2] = rng.choice([-0.0, 0.0], d)
+        a[::2, 0, 3] = -0.0
+        want = np.ascontiguousarray(a.transpose(1, 2, 0)).sum(axis=2)
+        got = gp._plane_sum(a)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), d
+
+
 class TestGaussianProcessOracle:
     """The LAPACK fast path against the wrapper-path formulas above."""
 
+    # d = 8, 9, 16, 17 and 130 reach each branch of gp._plane_sum
     SHAPES = [(2, 1), (3, 32), (5, 2), (12, 7), (20, 10), (27, 3),
-              (30, 32), (33, 16), (40, 5), (40, 32)]
+              (30, 32), (33, 16), (40, 5), (40, 32), (9, 8), (10, 9),
+              (14, 16), (11, 17), (6, 130)]
 
     @pytest.mark.parametrize("n,d", SHAPES)
     def test_likelihood_prediction_and_acquisition_equal_the_oracle(
@@ -688,7 +754,8 @@ class TestGaussianProcessOracle:
             assert value == want_value
             assert np.array_equal(grad, want_grad)
 
-    @pytest.mark.parametrize("n,d", [(6, 2), (15, 32), (25, 4), (40, 10)])
+    @pytest.mark.parametrize("n,d", [(6, 2), (15, 32), (25, 4), (40, 10),
+                                     (10, 9), (12, 17), (6, 130)])
     def test_fit_equals_the_oracle_fit(self, n, d):
         from scipy.linalg import cho_factor
         rng = np.random.default_rng(7 * n + d)
@@ -697,7 +764,7 @@ class TestGaussianProcessOracle:
         oracle = OracleGaussianProcess(space).fit(x, y)
         assert np.array_equal(model.theta_, oracle.theta_)
         assert np.array_equal(model._alpha, oracle._alpha)
-        kj = model._kernel(x, x)  # the factor cho_factor gave before
+        kj = oracle_kernel(model, x, x)  # the factor cho_factor gave before
         kj[np.diag_indices_from(kj)] += model.jitter_
         assert np.array_equal(model._chol,
                               np.tril(cho_factor(kj, lower=True)[0]))
@@ -730,7 +797,6 @@ class TestGaussianProcessOracle:
         # squared distances no point set has: 0 and 1 coincide, 1 and 2
         # coincide, 0 and 2 are far apart, so the kernel is indefinite
         sq = np.array([[0.0, 0.0, 1e4], [0.0, 0.0, 0.0], [1e4, 0.0, 0.0]])
-        model._sq1d = sq[:, :, None]
         model._sq1d_t = sq[None, :, :].copy()
         theta = np.array([0.0, 0.0])
         for nll, grad in (model._nll_and_grad(theta),
