@@ -119,12 +119,13 @@ def cmd_generate_data(args) -> int:
     with _fresh_out_dir(args) as out_dir:
         written = write_history(history, out_dir)
     print(f"wrote {len(written)} history files to {out_dir} (seed {seed})")
-    for fid, series in sorted(history.demand.items()):
-        print(f"  demand[{fid}]: n={len(series)} mean={series.mean():.2f} "
-              f"min={series.min()} max={series.max()}")
-    for fid, series in sorted(history.lead_delta.items()):
-        print(f"  lead_delta[{fid}]: n={len(series)} "
-              f"mean={series.mean():.2f} max={series.max()}")
+    rows = [["series", "n", "mean", "min", "max"]]
+    for name, by_facility in (("demand", history.demand),
+                              ("lead_delta", history.lead_delta)):
+        rows += [[f"{name}[{fid}]", str(len(series)), f"{series.mean():.2f}",
+                  str(series.min()), str(series.max())]
+                 for fid, series in sorted(by_facility.items())]
+    print(format_table(rows))
     return 0
 
 
@@ -135,10 +136,9 @@ def cmd_simulate(args) -> int:
                           record_trace=bool(args.trace_out))
     print(f"replication {args.replication}, horizon {scenario.horizon}, "
           f"choice {scenario.demand_choice.value}")
-    print(f"{'facility':>10} {'avg_on_hand':>12} {'beta':>8}")
-    for fid in cfg.network.ids:
-        print(f"{fid:>10} {outcome.avg_on_hand[fid]:>12.2f} "
-              f"{outcome.beta[fid]:>8.4f}")
+    print(format_table([["facility", "avg_on_hand", "beta"]] + [
+        [fid, f"{outcome.avg_on_hand[fid]:.2f}", f"{outcome.beta[fid]:.4f}"]
+        for fid in cfg.network.ids]))
     if args.trace_out:
         path = Path(args.trace_out)
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -165,14 +165,12 @@ def cmd_evaluate(args) -> int:
     print(f"Z = {report.z:.4f}  (mean total on-hand {report.mean_total_on_hand:.4f}, "
           f"mean violation {report.mean_violation:.6f}, "
           f"N = {report.replications})")
-    print(f"{'facility':>10} {'mean_beta':>10} {'std_beta':>9} "
-          f"{'target':>7} {'status':>7} {'mean_on_hand':>13}")
-    for fid in cfg.network.ids:
-        met = report.mean_beta[fid] >= targets[fid]
-        print(f"{fid:>10} {report.mean_beta[fid]:>10.4f} "
-              f"{report.std_beta[fid]:>9.4f} {targets[fid]:>7.2f} "
-              f"{'PASS' if met else 'FAIL':>7} "
-              f"{report.mean_on_hand[fid]:>13.2f}")
+    print(format_table([["facility", "mean_beta", "std_beta", "target",
+                         "status", "mean_on_hand"]] + [
+        [fid, f"{report.mean_beta[fid]:.4f}", f"{report.std_beta[fid]:.4f}",
+         f"{targets[fid]:.2f}",
+         "PASS" if report.mean_beta[fid] >= targets[fid] else "FAIL",
+         f"{report.mean_on_hand[fid]:.2f}"] for fid in cfg.network.ids]))
     if not args.out:
         print(json.dumps(payload, sort_keys=True))
     return 0 if report.feasible else 2

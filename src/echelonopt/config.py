@@ -246,10 +246,9 @@ def merge_optimizer_settings(strategy: str, given: dict) -> dict:
     context = f"optimizers.{strategy}"
     defaults = DEFAULT_OPTIMIZER_SETTINGS[strategy]
     _reject_unknown(given, defaults, context, "settings")
-    merged = {}
-    for key, default in defaults.items():
-        parse = _integer if isinstance(default, int) else _number
-        merged[key] = parse(given.get(key, default), f"{context}.{key}")
+    merged = {key: _READERS[type(default)](given.get(key, default),
+                                           f"{context}.{key}")
+              for key, default in defaults.items()}
     try:
         check_settings(merged)
         Budget(merged["max_evaluations"], merged["max_minutes"])

@@ -210,6 +210,52 @@ class TestEvaluate:
         assert "demand_1.csv" in capsys.readouterr().err
 
 
+class TestPrintedTables:
+    """generate-data, simulate and evaluate print one line of text, then
+    a table whose columns are as wide as their widest cell."""
+
+    LONG_IDS = {"1": "central-warehouse", "2": "east-region-depot",
+                "3": "3", "4": "west-store", "5": "south-store-number-5"}
+
+    @pytest.fixture
+    def long_id_config(self, tmp_path):
+        """The preset with facility ids of up to twenty characters."""
+        raw = json.loads(PRESET.read_text())
+        for facility in raw["network"]["facilities"]:
+            facility["id"] = self.LONG_IDS[facility["id"]]
+            facility["upstream"] = self.LONG_IDS.get(facility["upstream"],
+                                                     facility["upstream"])
+        for section, key in ((raw, "initial_policy"), (raw, "bounds"),
+                             (raw["generator"], "demand"),
+                             (raw["generator"], "lead_delta")):
+            section[key] = {self.LONG_IDS[fid]: entry
+                            for fid, entry in section[key].items()}
+        config = tmp_path / "long_ids.json"
+        config.write_text(json.dumps(raw))
+        return str(config)
+
+    def test_rows_align_with_long_facility_ids(self, long_id_config,
+                                               tmp_path, capsys):
+        history = str(tmp_path / "history")
+        run = ["--config", long_id_config, "--history-dir", history,
+               "--horizon", "60"]
+        commands = {  # argv, table rows: 4 demand + 5 lead series, 5 ids
+            "generate-data": (["generate-data", "--config", long_id_config,
+                               "--out", history], 9),
+            "simulate": (["simulate", *run], 5),
+            "evaluate": (["evaluate", *run, "--replications", "2",
+                          "--out", str(tmp_path / "report")], 5),
+        }
+        for name, (argv, rows) in commands.items():
+            assert main(argv) in (0, 2), name
+            table = capsys.readouterr().out.splitlines()[1:]
+            assert len(table) == 2 + rows, name  # header, rule, rows
+            assert set(table[1]) == {"-"}, name
+            assert len({len(line) for line in table}) == 1, (name, table)
+            assert any("south-store-number-5" in line
+                       for line in table[2:]), name
+
+
 class TestOptimize:
     def test_run_artifacts(self, config_path, history_dir, tmp_path):
         out = tmp_path / "run"

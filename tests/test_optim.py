@@ -395,6 +395,22 @@ class TestGaussianProcess:
         mu, _ = gp.predict(grid)
         assert np.allclose(gp.lower_confidence_bound(grid, 0.0), mu)
 
+    def test_zero_variance_at_a_training_point(self):
+        """With amplitude 1 and a jitter-free factor of [[1]], the posterior
+        variance at the one training point is exactly 0: the acquisition
+        drops sigma's term instead of dividing 0 by 0, whose RuntimeWarning
+        pyproject.toml's filterwarnings turns into an error."""
+        space = SearchSpace(np.zeros(2), np.full(2, 1.0))
+        x = np.array([[0.25, 0.75]])
+        model = GaussianProcess(space).fit(x, np.array([3.0]))
+        model.amplitude, model._amp2 = 1.0, 1.0
+        model._chol = np.array([[1.0]])
+        results = [model.lcb_and_grad(x[0], kappa) for kappa in (0.0, 5.0)]
+        for value, grad in results:
+            assert np.isfinite(value) and np.all(np.isfinite(grad))
+        assert results[0][0] == results[1][0]
+        assert np.array_equal(results[0][1], results[1][1])
+
     def test_optimize_quadratic_loosely(self):
         run = minimize(quadratic, SPACE_2D, Budget(max_evaluations=120),
                        strategy="gp", cycles=2, iterations_per_cycle=50,
