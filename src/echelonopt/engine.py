@@ -82,15 +82,19 @@ changes only when stock moves, and exact integer identities give the rest:
   per shipment would give.  A facility places at most one order per
   day, so it receives at most ``horizon`` shipments and the block never
   runs out.
-* Only the most recent scenario is held.  The key compares the network
-  by value and the history by identity (``HistoryDataset`` is
-  immutable); demand choice, penalty, initial fraction and replication
-  count change no draw and are not part of it.  Each replication's
-  tables are drawn the first time it is simulated and then kept:
-  replications x (customers + facilities) x horizon ints, 64,800 on the
-  bundled preset, plus each customer's weighted demand ``W``.  An
-  invalid network or uncovered history is never cached, so it raises on
-  every call.
+* Only the most recent scenario is held.  Its key is the network by
+  value, the history by identity (``HistoryDataset`` is immutable), the
+  horizon and the base seed; demand choice, penalty, initial fraction
+  and replication count change no draw and are not part of it.
+  ``_prepare`` tests the network by identity first and compares it by
+  value only when another object was passed, so the replications of one
+  evaluation, which pass one network object, never hash or compare the
+  facilities; a value-equal network built anew still reuses the draws.
+  Each replication's tables are drawn the first time it is simulated and
+  then kept: replications x (customers + facilities) x horizon ints,
+  64,800 on the bundled preset, plus each customer's weighted demand
+  ``W``.  An invalid network or uncovered history is never cached, so it
+  raises on every call.
 
 One replication is strictly sequential and deterministic in
 (network, policy, history, base_seed, replication); distinct
@@ -101,7 +105,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 
@@ -136,14 +139,6 @@ class SimulationOutcome:
     final_on_hand: dict[str, int]
     trace: dict[str, dict[str, list]] | None = None
     events: list | None = None
-
-
-def _beta(choice: DemandChoice, demand: int, shipped: int, late: int) -> float:
-    if demand == 0:
-        return 1.0
-    if choice is DemandChoice.LOST_SALES:
-        return shipped / demand
-    return 1.0 - late / demand
 
 
 class _Scenario:
@@ -200,7 +195,20 @@ class _Scenario:
                 tuple(leads))
 
 
-_prepare = lru_cache(maxsize=1)(_Scenario)
+_last_scenario: list[_Scenario] = []  # the most recent scenario, if any
+
+
+def _prepare(network: NetworkSpec, history: HistoryDataset, horizon: int,
+             base_seed: int) -> _Scenario:
+    """The scenario for this key: the last one if it matches, else new."""
+    for last in _last_scenario:
+        if (last.history is history and last.horizon == horizon
+                and last.base_seed == base_seed
+                and (last.network is network or last.network == network)):
+            return last
+    scenario = _Scenario(network, history, horizon, base_seed)
+    _last_scenario[:] = [scenario]
+    return scenario
 
 
 def sim_network(network: NetworkSpec, policy: PolicyVector,
@@ -221,20 +229,20 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                          f"{replication_index}")
     prepared = _prepare(network, history, config.horizon, config.base_seed)
     ids = prepared.ids
-    for fid in ids:
-        if fid not in policy.reorder_point:
-            raise InvalidPolicyError(f"policy missing facility {fid}")
+    try:
+        reorder_point = list(map(policy.reorder_point.__getitem__, ids))
+        base_stock = list(map(policy.base_stock.__getitem__, ids))
+    except KeyError as missing:
+        raise InvalidPolicyError(
+            f"policy missing facility {missing.args[0]}") from None
     upstream, suppliers = prepared.upstream, prepared.suppliers
     customers, total_demand, weighted_demand, leads = \
         prepared.draws(replication_index)
     next_lead = [iter(lead).__next__ for lead in leads]
 
     horizon = config.horizon
-    choice = config.demand_choice
-    lost_sales = choice is DemandChoice.LOST_SALES
+    lost_sales = config.demand_choice is DemandChoice.LOST_SALES
     n = len(ids)
-    reorder_point = [policy.reorder_point[fid] for fid in ids]
-    base_stock = [policy.base_stock[fid] for fid in ids]
 
     on_hand = [int(round(config.initial_inventory_fraction * b))
                for b in base_stock]
@@ -378,11 +386,19 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
                 unserved_before[f] = unserved[f]
 
     total_shipped = [d - u for d, u in zip(total_demand, unserved)]
-    total_late = [0] * n if lost_sales else short
+    # The fill rate: shipped / demand under lost sales, 1 - late / demand
+    # under backorders, and 1 for a facility that saw no demand.
+    if lost_sales:
+        total_late = [0] * n
+        beta = [s / d if d else 1.0
+                for s, d in zip(total_shipped, total_demand)]
+    else:
+        total_late = short
+        beta = [1.0 - late / d if d else 1.0
+                for late, d in zip(short, total_demand)]
     return SimulationOutcome(
-        avg_on_hand={fid: held[i] / horizon for i, fid in enumerate(ids)},
-        beta={fid: _beta(choice, total_demand[i], total_shipped[i],
-                         total_late[i]) for i, fid in enumerate(ids)},
+        avg_on_hand=dict(zip(ids, [h / horizon for h in held])),
+        beta=dict(zip(ids, beta)),
         total_demand=dict(zip(ids, total_demand)),
         total_shipped=dict(zip(ids, total_shipped)),
         total_late=dict(zip(ids, total_late)),

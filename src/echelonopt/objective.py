@@ -14,6 +14,8 @@ numbers): the optimizers see a deterministic function.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -45,44 +47,61 @@ def aggregate_outcomes(outcomes: Sequence[SimulationOutcome],
 
     Aggregation order is fixed (the given sequence is replication order),
     so results are identical no matter how the replications were run.
+    Facilities are those of the first outcome, read by id from each.
     """
     n = len(outcomes)
     if n == 0:
         raise ValueError("need at least one replication outcome")
     fids = list(outcomes[0].avg_on_hand)
-    total_on_hand = 0.0
-    total_violation = 0.0
-    for outcome in outcomes:
-        for fid in fids:
-            total_on_hand += outcome.avg_on_hand[fid]
-            total_violation += max(0.0, targets[fid] - outcome.beta[fid])
-    # One row per facility, in replication order: each row sums as one
-    # contiguous series, pairwise from 8 replications on; an array with a
-    # row per replication, reduced over axis 0, would add in another order.
-    betas = np.array([[o.beta[fid] for o in outcomes] for fid in fids])
-    on_hand = np.array([[o.avg_on_hand[fid] for o in outcomes]
-                        for fid in fids])
-    mean_beta = dict(zip(fids, betas.mean(axis=1).tolist()))
+    # (replication, [beta, on-hand], facility)
+    rows = np.array([values[fid] for o in outcomes
+                     for values in (o.beta, o.avg_on_hand)
+                     for fid in fids]).reshape(n, 2, len(fids))
+    shortfall = np.subtract([targets[fid] for fid in fids], rows[:, 0])
+    np.fmax(shortfall, 0.0, out=shortfall)  # max(0, .), NaN read as 0
+    # Z's totals run from 0.0 over replications, then facilities, one
+    # addition at a time.
+    total_on_hand = reduce(add, rows[:, 1].ravel().tolist(), 0.0)
+    total_violation = reduce(add, shortfall.ravel().tolist(), 0.0)
+    # Means and stds reduce one contiguous row of n replications per
+    # facility, as numpy's mean and std do: pairwise from 8 replications
+    # on, so a reduction over the replication axis would add in another
+    # order.
+    series = rows.transpose(1, 2, 0).copy()
+    means = np.add.reduce(series, axis=2) / n
+    deviation = series[0] - means[0, :, None]
+    deviation *= deviation
+    std = np.sqrt(np.add.reduce(deviation, axis=1) / n)
+    mean_beta, mean_on_hand = means.tolist()
     return ObjectiveReport(
         z=total_on_hand / n + rho * total_violation / n,
         mean_total_on_hand=total_on_hand / n,
         mean_violation=total_violation / n,
         replications=n,
-        mean_beta=mean_beta,
-        std_beta=dict(zip(fids, betas.std(axis=1).tolist())),
-        mean_on_hand=dict(zip(fids, on_hand.mean(axis=1).tolist())),
+        mean_beta=dict(zip(fids, mean_beta)),
+        std_beta=dict(zip(fids, std.tolist())),
+        mean_on_hand=dict(zip(fids, mean_on_hand)),
         policy=policy,
-        feasible=all(mean_beta[fid] >= targets[fid] for fid in fids),
+        feasible=all(beta >= targets[fid]
+                     for fid, beta in zip(fids, mean_beta)),
     )
 
 
 def evaluate(policy: PolicyVector, network: NetworkSpec,
-             history: HistoryDataset,
-             config: ScenarioConfig) -> ObjectiveReport:
-    """Run N replications of the policy and return the penalized objective."""
+             history: HistoryDataset, config: ScenarioConfig,
+             replications: range | None = None) -> ObjectiveReport:
+    """Run the policy on each replication of the range and return the
+    penalized objective; the default range is 1..``config.replications``.
+
+    Replication n always draws from the streams keyed by n, so the
+    outcomes of two ranges, folded in replication order by
+    ``aggregate_outcomes``, give exactly the report of their union.
+    """
+    if replications is None:
+        replications = range(1, config.replications + 1)
     outcomes = [
         sim_network(network, policy, history, config, replication_index=n)
-        for n in range(1, config.replications + 1)
+        for n in replications
     ]
     return aggregate_outcomes(outcomes, network.targets,
                               config.penalty_rho, policy)

@@ -257,7 +257,8 @@ class TestSimNetwork:
         hist = HistoryDataset(demand={"store": [1]},
                               lead_delta={"hub": [0], "store": [0]})
         cfg = ScenarioConfig(horizon=10, replications=1)
-        with pytest.raises(InvalidPolicyError):
+        with pytest.raises(InvalidPolicyError,
+                           match="^policy missing facility store$"):
             sim_network(net, pol, hist, cfg, 1)
 
     def test_replication_determinism(self):
@@ -569,7 +570,7 @@ SCENARIO_CHANGES = {
 
 
 def cold_z(policy, net, hist, cfg):
-    engine._prepare.cache_clear()
+    engine._last_scenario.clear()
     return evaluate(policy, net, hist, cfg).z
 
 
@@ -604,7 +605,7 @@ class TestScenarioCache:
         assert want["b"] == reference_z(policy, *b)
         if change != "equal-content history":
             assert want["a"] != want["b"]
-        engine._prepare.cache_clear()
+        engine._last_scenario.clear()
         for name, scenario in (("a", a), ("b", b), ("a", a)):
             assert evaluate(policy, *scenario).z == want[name]
             assert_matches_reference(scenario[0], policy, scenario[1],
@@ -622,7 +623,7 @@ class TestScenarioCache:
         net, hist, cfg, policy = cache_scenario()
         other = replace(cfg, **change)
         want = cold_z(policy, net, hist, other)
-        engine._prepare.cache_clear()
+        engine._last_scenario.clear()
         evaluate(policy, net, hist, cfg)
         built = count_generators(monkeypatch)
         assert evaluate(policy, net, hist, other).z == want
@@ -632,7 +633,7 @@ class TestScenarioCache:
 
     def test_each_stream_is_built_once_per_scenario(self, monkeypatch):
         net, hist, cfg, policy = cache_scenario()
-        engine._prepare.cache_clear()
+        engine._last_scenario.clear()
         built = count_generators(monkeypatch)
         for rop in (0, 10, 20, 30):
             evaluate(replace(policy, reorder_point={**policy.reorder_point,
@@ -641,6 +642,18 @@ class TestScenarioCache:
         streams = len(net.customer_ids) + len(net.ids)
         assert len(built) == cfg.replications * streams
         assert len(set(built)) == len(built)
+
+    def test_value_equal_network_reuses_the_draws(self, monkeypatch):
+        # the cache looks the network up by identity first, but keys it
+        # by value: an equal network built anew draws nothing
+        net, hist, cfg, policy = cache_scenario()
+        engine._last_scenario.clear()
+        want = evaluate(policy, net, hist, cfg)
+        anew = NetworkSpec([replace(f) for f in net.facilities])
+        assert anew == net and anew is not net
+        built = count_generators(monkeypatch)
+        assert evaluate(policy, anew, hist, cfg) == want
+        assert built == []
 
     def test_invalid_inputs_raise_on_every_call(self):
         net, hist, cfg, policy = cache_scenario()

@@ -1,9 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from echelonopt import objective
+from echelonopt.config import load_config
 from echelonopt.engine import SimulationOutcome
 from echelonopt.model import (
     SOURCE,
+    DemandChoice,
     FacilitySpec,
     HistoryDataset,
     NetworkSpec,
@@ -15,6 +20,8 @@ from echelonopt.objective import (
     aggregate_outcomes,
     evaluate,
 )
+from echelonopt.sampling import generate_synthetic_history
+from test_acceptance import PRESET
 
 
 def outcome(avg_on_hand, beta):
@@ -106,10 +113,21 @@ def loop_aggregate(outcomes, targets, rho, policy):
         feasible=all(mean_beta[fid] >= targets[fid] for fid in fids))
 
 
-@pytest.mark.parametrize("replications", [1, 2, 7, 8, 9, 20, 33])
+def reordered(o, rng):
+    """The same outcome, its dicts listing the facilities in new orders."""
+    fids = list(o.avg_on_hand)
+    on_hand_order, beta_order = ([fids[i] for i in rng.permutation(len(fids))]
+                                 for _ in range(2))
+    return outcome({fid: o.avg_on_hand[fid] for fid in on_hand_order},
+                   {fid: o.beta[fid] for fid in beta_order})
+
+
+@pytest.mark.parametrize("replications",
+                         [1, 2, 7, 8, 9, 20, 33, 127, 128, 129, 257])
 def test_aggregation_equals_the_per_facility_loop(replications):
-    # 8 or more replications sum pairwise: only a row-per-facility layout
-    # reduces in the order the per-facility arrays did
+    # 8 or more replications sum pairwise, and past 128 the pairwise sum
+    # splits in halves: only a row-per-facility layout reduces in the
+    # order the per-facility arrays did
     rng = np.random.default_rng(replications)
     for facilities in (1, 2, 5, 16):
         fids = [str(i) for i in range(facilities)]
@@ -121,8 +139,14 @@ def test_aggregation_equals_the_per_facility_loop(replications):
                                 dict(zip(fids, rng.uniform(0.5, 1.0,
                                                            facilities))))
                         for _ in range(replications)]
-            got = aggregate_outcomes(outcomes, targets, 1e6, policy)
-            assert got == loop_aggregate(outcomes, targets, 1e6, policy)
+            want = loop_aggregate(outcomes, targets, 1e6, policy)
+            assert aggregate_outcomes(outcomes, targets, 1e6, policy) == want
+            # later outcomes may list their facilities in another order;
+            # the fold reads them by id, as the loop does
+            shuffled = outcomes[:1] + [reordered(o, rng)
+                                       for o in outcomes[1:]]
+            assert aggregate_outcomes(shuffled, targets, 1e6,
+                                      policy) == want
 
 
 def small_scenario():
@@ -167,3 +191,32 @@ class TestEvaluate:
         report = evaluate(pol, net, hist, cfg)
         assert set(report.std_beta) == set(net.ids)
         assert all(s >= 0 for s in report.std_beta.values())
+
+
+@pytest.mark.parametrize("choice", list(DemandChoice))
+def test_replication_ranges_fold_into_the_full_report(choice, monkeypatch):
+    # Replication n draws from the streams keyed by n, so the outcomes
+    # evaluate folds for 1..k and for k+1..20, folded again in order, are
+    # the report of 1..20 bit for bit
+    cfg = load_config(PRESET)
+    history = generate_synthetic_history(cfg.network, cfg.generator,
+                                         cfg.scenario.base_seed)
+    scenario = replace(cfg.scenario, demand_choice=choice, replications=20)
+    args = (cfg.initial_policy, cfg.network, history, scenario)
+    full = evaluate(*args)
+    assert full.replications == 20
+    folded = []
+    fold = objective.aggregate_outcomes
+
+    def recording(outcomes, *rest):
+        folded.append(outcomes)
+        return fold(outcomes, *rest)
+    monkeypatch.setattr(objective, "aggregate_outcomes", recording)
+    for k in range(1, 20):
+        # the later range first: what ran before changes no outcome
+        tail = evaluate(*args, replications=range(k + 1, 21))
+        head = evaluate(*args, replications=range(1, k + 1))
+        assert (head.replications, tail.replications) == (k, 20 - k)
+        joined = fold(folded[-1] + folded[-2], cfg.network.targets,
+                      scenario.penalty_rho, cfg.initial_policy)
+        assert joined == full  # every field, floats compared exactly
