@@ -31,10 +31,11 @@ from .model import (
     NetworkValidationError,
     PolicyVector,
     ScenarioConfig,
+    check_minimums,
     validate_network,
 )
 from .optim import Budget, SearchSpace
-from .optim.core import check_settings
+from .optim.core import SETTING_MINIMUMS, STRATEGIES, check_strategy
 from .sampling import HistoryGenParams, SeriesParams
 
 
@@ -51,8 +52,6 @@ DEFAULT_OPTIMIZER_SETTINGS: dict[str, dict] = {
            "max_evaluations": 30000, "max_minutes": 1440.0, "seed": 0},
     "rbf": {"max_evaluations": 1000, "max_minutes": 1440.0, "seed": 707},
 }
-
-STRATEGIES = tuple(DEFAULT_OPTIMIZER_SETTINGS)
 
 
 @dataclass(frozen=True)
@@ -236,13 +235,12 @@ def merge_optimizer_settings(strategy: str, given: dict) -> dict:
     """The strategy's defaults with ``given`` laid over them.
 
     A setting takes its default's type: an int only integral numbers, a
-    float any finite number.  An unknown strategy raises ConfigError
-    naming it and STRATEGIES; a key the strategy has no default for, or
-    a value that misses its type, minimum (``optim.core.SETTING_MINIMUMS``)
-    or the run's Budget, one naming ``optimizers.<strategy>.<key>``.
+    float any finite number.  An unknown strategy fails ``check_strategy``;
+    a key the strategy has no default for, or a value that misses its
+    type, minimum (``SETTING_MINIMUMS``) or the run's Budget, raises a
+    ConfigError naming ``optimizers.<strategy>.<key>``.
     """
-    _reject_unknown({strategy: given}, DEFAULT_OPTIMIZER_SETTINGS,
-                    "optimizers", "strategies")
+    check_strategy(strategy)
     context = f"optimizers.{strategy}"
     defaults = DEFAULT_OPTIMIZER_SETTINGS[strategy]
     _reject_unknown(given, defaults, context, "settings")
@@ -250,7 +248,7 @@ def merge_optimizer_settings(strategy: str, given: dict) -> dict:
                                            f"{context}.{key}")
               for key, default in defaults.items()}
     try:
-        check_settings(merged)
+        check_minimums(merged, SETTING_MINIMUMS)
         Budget(merged["max_evaluations"], merged["max_minutes"])
     except ValueError as exc:  # its message starts with the setting's name
         raise ConfigError(f"{context}.{exc}") from None

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from .config import STRATEGIES, merge_optimizer_settings
+from .config import merge_optimizer_settings
 from .model import (
     HistoryDataset,
     NetworkSpec,
@@ -23,12 +23,11 @@ from .model import (
 )
 from .objective import ObjectiveReport, evaluate
 from .optim import Budget, OptimizerRun, SearchSpace, minimize
+from .optim.core import STRATEGIES, check_strategy
 
 
 def derive_strategy_seed(shared_seed: int, strategy: str) -> int:
-    if strategy not in STRATEGIES:
-        raise ValueError(f"unknown strategy {strategy!r}; "
-                         f"expected one of {', '.join(STRATEGIES)}")
+    check_strategy(strategy)
     seq = np.random.SeedSequence(shared_seed,
                                  spawn_key=(STRATEGIES.index(strategy),))
     return int(seq.generate_state(1, dtype=np.uint64)[0])

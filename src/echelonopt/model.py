@@ -12,6 +12,7 @@ safe to share across threads by read-only access.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
@@ -31,6 +32,18 @@ class DemandChoice(Enum):
 
 class NonFiniteInputError(ValueError):
     """A policy repair input contained NaN or infinity."""
+
+
+def check_minimums(values: Mapping, minimums: Mapping,
+                   error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` naming the first name in ``minimums`` whose value
+    is below its minimum, NaN or infinite; an absent value passes."""
+    for name, minimum in minimums.items():
+        value = values.get(name, minimum)
+        if value < minimum:
+            raise error(f"{name} must be >= {minimum:g}, got {value}")
+        if not value < math.inf:  # NaN or inf; ints of any size pass
+            raise error(f"{name} must be finite, got {value}")
 
 
 class NetworkValidationError(ValueError):
@@ -145,23 +158,37 @@ class PolicyVector:
 
     The order-quantity rule (order up to base stock when the inventory
     position reaches the reorder point) only makes sense with
-    ``base_stock >= reorder_point >= 0``; construction enforces it.
+    ``base_stock >= reorder_point >= 0``; construction enforces it, and
+    stores each value as an int, so a value that is not a whole number
+    (5.5, NaN, inf) raises.
     """
 
     reorder_point: Mapping[str, int]
     base_stock: Mapping[str, int]
 
     def __post_init__(self):
-        object.__setattr__(self, "reorder_point", dict(self.reorder_point))
-        object.__setattr__(self, "base_stock", dict(self.base_stock))
-        if set(self.reorder_point) != set(self.base_stock):
+        reorder_point = dict(self.reorder_point)
+        base_stock = dict(self.base_stock)
+        if set(reorder_point) != set(base_stock):
             raise ValueError("reorder_point and base_stock cover different facilities")
-        for fid, rop in self.reorder_point.items():
-            base = self.base_stock[fid]
+        for fid, rop in reorder_point.items():
+            base = base_stock[fid]
+            if type(rop) is not int or type(base) is not int:
+                try:
+                    whole = int(rop), int(base)
+                except (TypeError, ValueError, OverflowError):  # NaN, inf
+                    whole = None
+                if whole != (rop, base):
+                    raise ValueError(
+                        f"facility {fid}: reorder_point and base_stock must "
+                        f"be whole numbers, got R={rop}, B={base}")
+                reorder_point[fid], base_stock[fid] = rop, base = whole
             if not (base >= rop >= 0):
                 raise ValueError(
                     f"facility {fid}: need base_stock >= reorder_point >= 0, "
                     f"got R={rop}, B={base}")
+        object.__setattr__(self, "reorder_point", reorder_point)
+        object.__setattr__(self, "base_stock", base_stock)
 
     @classmethod
     def from_array(cls, network: NetworkSpec, x: np.ndarray) -> "PolicyVector":
@@ -193,14 +220,8 @@ class ScenarioConfig:
     base_seed: int = 0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.replications < 1:
-            raise ValueError("replications must be >= 1")
-        if self.base_seed < 0:
-            raise ValueError("base_seed must be >= 0")
-        if self.penalty_rho < 0:
-            raise ValueError("penalty_rho must be >= 0")
+        check_minimums(vars(self), {"horizon": 1, "replications": 1,
+                                    "penalty_rho": 0, "base_seed": 0})
         if not (0.0 <= self.initial_inventory_fraction <= 1.0):
             raise ValueError("initial_inventory_fraction must be in [0, 1]")
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
+from itertools import pairwise
 from operator import add
 from typing import Mapping, Sequence
 
@@ -89,9 +90,10 @@ def aggregate_outcomes(outcomes: Sequence[SimulationOutcome],
 
 def evaluate(policy: PolicyVector, network: NetworkSpec,
              history: HistoryDataset, config: ScenarioConfig,
-             replications: range | None = None) -> ObjectiveReport:
-    """Run the policy on each replication of the range and return the
-    penalized objective; the default range is 1..``config.replications``.
+             replications: Sequence[int] | None = None) -> ObjectiveReport:
+    """Run the policy on each of the replications, a strictly increasing
+    sequence such as a range, and return the penalized objective; the
+    default is 1..``config.replications``.
 
     Replication n always draws from the streams keyed by n, so the
     outcomes of two ranges, folded in replication order by
@@ -99,6 +101,9 @@ def evaluate(policy: PolicyVector, network: NetworkSpec,
     """
     if replications is None:
         replications = range(1, config.replications + 1)
+    elif any(b <= a for a, b in pairwise(replications)):
+        raise ValueError(f"replications must be strictly increasing, "
+                         f"got {list(replications)}")
     outcomes = [
         sim_network(network, policy, history, config, replication_index=n)
         for n in replications

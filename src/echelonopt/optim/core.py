@@ -26,6 +26,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..model import check_minimums
+
 
 class BudgetExhaustedError(RuntimeError):
     """The budget was spent before a single evaluation could run."""
@@ -49,8 +51,9 @@ class _StopSearch(Exception):
 
 @dataclass(frozen=True)
 class SearchSpace:
-    """Box constraints, one (lower, upper) pair per decision variable,
-    held with ``span = upper - lower`` as read-only copies of their own."""
+    """Box constraints, one finite (lower, upper) pair per decision
+    variable, held with ``span = upper - lower`` as read-only copies of
+    their own."""
 
     lower: np.ndarray
     upper: np.ndarray
@@ -61,6 +64,9 @@ class SearchSpace:
         hi = np.array(upper, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("lower and upper must be 1-D and congruent")
+        if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+            raise ValueError(f"bounds must be finite, got lower="
+                             f"{lo.tolist()}, upper={hi.tolist()}")
         if not np.all(lo < hi):
             raise ValueError("need lower < upper componentwise")
         for name, value in (("lower", lo), ("upper", hi), ("span", hi - lo)):
@@ -111,18 +117,14 @@ class Budget:
 SETTING_MINIMUMS = {"cycles": 1, "iterations_per_cycle": 1,
                     "n_random_starts": 1, "kappa": 0, "seed": 0}
 
+STRATEGIES = ("nelder-mead", "gp", "rbf")
 
-def check_settings(settings: dict) -> None:
-    """Raise a ValueError naming the first setting that is too small,
-    NaN or infinite."""
-    for name, value in settings.items():
-        minimum = SETTING_MINIMUMS.get(name)
-        if minimum is None:
-            continue
-        if value < minimum:
-            raise ValueError(f"{name} must be >= {minimum:g}, got {value}")
-        if not value < math.inf:  # NaN or inf; ints of any size pass
-            raise ValueError(f"{name} must be finite, got {value}")
+
+def check_strategy(strategy: str) -> None:
+    """Raise a ValueError unless ``strategy`` is one of STRATEGIES."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; "
+                         f"expected one of {', '.join(STRATEGIES)}")
 
 
 @dataclass
@@ -235,10 +237,8 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
 
     searches = {"nelder-mead": nelder_mead.nelder_mead_restart,
                 "gp": gp.gp_optimize, "rbf": rbf.rbf_optimize}
-    if strategy not in searches:
-        raise ValueError(f"unknown strategy {strategy!r}; "
-                         f"expected one of {', '.join(searches)}")
-    check_settings(dict(strategy_kwargs, seed=seed))
+    check_strategy(strategy)
+    check_minimums(dict(strategy_kwargs, seed=seed), SETTING_MINIMUMS)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (space.dim,) or not np.isfinite(x0).all():

@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import HistoryDataset, NetworkSpec
+from .model import HistoryDataset, NetworkSpec, check_minimums
 
 
 class EmptyHistoryError(ValueError):
@@ -83,10 +83,8 @@ class SeriesParams:
     spread: float
 
     def __post_init__(self):
-        if self.mean < 0:
-            raise InvalidParamsError(f"mean {self.mean} < 0")
-        if self.spread < 0:
-            raise InvalidParamsError(f"spread {self.spread} < 0")
+        check_minimums(vars(self), {"mean": 0, "spread": 0},
+                       InvalidParamsError)
 
 
 @dataclass(frozen=True)
@@ -98,8 +96,7 @@ class HistoryGenParams:
     length: int = 360
 
     def __post_init__(self):
-        if self.length <= 0:
-            raise InvalidParamsError(f"length {self.length} <= 0")
+        check_minimums(vars(self), {"length": 1}, InvalidParamsError)
         object.__setattr__(self, "demand", dict(self.demand))
         object.__setattr__(self, "lead_delta", dict(self.lead_delta))
 

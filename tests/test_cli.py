@@ -990,10 +990,12 @@ class TestConfigValidation:
         pytest.param("optimize", lambda raw: raw["bounds"]["1"].update(
             reorder_point=[5, 1]), None, "need [lo, hi]", id="reversed-bound"),
         pytest.param("optimize", lambda raw: raw["generator"]["demand"]["1"]
-                     .update(spread=-1), None, "spread -1.0 < 0",
+                     .update(spread=-1), None,
+                     "generator.demand[1]: spread must be >= 0, got -1.0",
                      id="negative-spread"),
         pytest.param("optimize", lambda raw: raw["generator"].update(
-            length=0), None, "length 0 <= 0", id="zero-length"),
+            length=0), None, "generator: length must be >= 1, got 0",
+            id="zero-length"),
         pytest.param("optimize", "{not json", None,
                      "is not valid JSON", id="not-json"),
         pytest.param("optimize", None, ("demand_1.csv", "lead_delta\n3\n"),

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from echelonopt import harness
-from echelonopt.config import STRATEGIES, merge_optimizer_settings
+from echelonopt.config import (
+    DEFAULT_OPTIMIZER_SETTINGS,
+    STRATEGIES,
+    merge_optimizer_settings,
+)
 from echelonopt.harness import (
     StrategyResult,
     comparison_table,
@@ -134,7 +138,14 @@ def test_unknown_strategy_is_a_value_error(monkeypatch, entry_point):
         call()
     assert "'bogus'" in str(caught.value)
     assert all(strategy in str(caught.value) for strategy in STRATEGIES)
+    # one rule, so one message at every entry point
+    assert str(caught.value) == ("unknown strategy 'bogus'; expected one "
+                                 "of nelder-mead, gp, rbf")
     assert calls == []
+
+
+def test_the_settings_table_covers_exactly_the_strategies():
+    assert tuple(DEFAULT_OPTIMIZER_SETTINGS) == STRATEGIES
 
 
 def test_reduction_from_an_initial_z_of_zero_is_zero():

@@ -1,3 +1,4 @@
+import math
 import pickle
 
 import numpy as np
@@ -16,6 +17,13 @@ from echelonopt.model import (
     ScenarioConfig,
     repair_policy_array,
     validate_network,
+)
+from echelonopt.optim import Budget, SearchSpace, minimize
+from echelonopt.optim.core import SETTING_MINIMUMS
+from echelonopt.sampling import (
+    HistoryGenParams,
+    InvalidParamsError,
+    SeriesParams,
 )
 
 
@@ -158,6 +166,23 @@ class TestPolicyVector:
         with pytest.raises(ValueError, match="expected 10 values, got 9"):
             PolicyVector.from_array(five_facility_network(), np.zeros(9))
 
+    @pytest.mark.parametrize("rop,base", [
+        (5.5, 20), (5, 20.2), (math.nan, 20), (5, math.nan), (5, math.inf),
+        (-math.inf, 20), (np.float64(5.5), 20), ("5", 20), (None, 20),
+    ])
+    def test_value_that_is_not_a_whole_number_rejected(self, rop, base):
+        with pytest.raises(ValueError, match=r"^facility b: reorder_point "
+                           "and base_stock must be whole numbers, got "):
+            PolicyVector({"a": 1, "b": rop}, {"a": 2, "b": base})
+
+    def test_whole_numbers_are_stored_as_ints(self):
+        pol = PolicyVector({"a": 5.0, "b": np.int64(2), "c": True},
+                           {"a": np.float64(20.0), "b": 3, "c": 1})
+        assert pol.reorder_point == {"a": 5, "b": 2, "c": 1}
+        assert pol.base_stock == {"a": 20, "b": 3, "c": 1}
+        values = [*pol.reorder_point.values(), *pol.base_stock.values()]
+        assert all(type(v) is int for v in values)
+
 
 class TestScenarioConfig:
     def test_defaults_valid(self):
@@ -177,6 +202,51 @@ class TestScenarioConfig:
     def test_bad_values_rejected(self, kwargs):
         with pytest.raises(ValueError, match=next(iter(kwargs))):
             ScenarioConfig(**kwargs)
+
+
+def _build(owner, name, value):
+    if owner is ScenarioConfig:
+        ScenarioConfig(**{name: value})
+    elif owner is SeriesParams:
+        SeriesParams(**{"mean": 1.0, "spread": 1.0, name: value})
+    elif owner is HistoryGenParams:
+        HistoryGenParams(demand={}, lead_delta={}, length=value)
+    else:  # an optimizer setting, checked before any evaluation
+        settings = {"cycles": 1, "iterations_per_cycle": 1,
+                    "n_random_starts": 1, "kappa": 1.0, "seed": 0,
+                    name: value}
+        minimize(lambda x: pytest.fail("evaluated"),
+                 SearchSpace([0.0], [1.0]), Budget(max_evaluations=2),
+                 strategy="gp", **settings)
+
+
+@pytest.mark.parametrize("owner,name,minimum,error", [
+    (ScenarioConfig, "horizon", 1, ValueError),
+    (ScenarioConfig, "replications", 1, ValueError),
+    (ScenarioConfig, "penalty_rho", 0, ValueError),
+    (ScenarioConfig, "base_seed", 0, ValueError),
+    (SeriesParams, "mean", 0, InvalidParamsError),
+    (SeriesParams, "spread", 0, InvalidParamsError),
+    (HistoryGenParams, "length", 1, InvalidParamsError),
+    *(("settings", name, minimum, ValueError)
+      for name, minimum in SETTING_MINIMUMS.items()),
+], ids=lambda v: getattr(v, "__name__", str(v)))
+@pytest.mark.parametrize("value,rule", [
+    (math.nan, "finite, got nan"),
+    (math.inf, "finite, got inf"),
+    (-math.inf, ">= {minimum}, got -inf"),
+    ("below", ">= {minimum}, got {below}"),
+], ids=["nan", "inf", "-inf", "below"])
+def test_value_below_its_minimum_or_not_finite_rejected(owner, name, minimum,
+                                                        error, value, rule):
+    below = minimum - 0.5
+    if value == "below":
+        value = below
+    expected = rule.format(minimum=minimum, below=below)
+    with pytest.raises(error, match=rf"^{name} must be {expected}$"):
+        _build(owner, name, value)
+    if owner != "settings":  # the minimum itself is allowed
+        _build(owner, name, minimum)
 
 
 class TestRepairPolicy:

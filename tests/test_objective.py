@@ -186,6 +186,14 @@ class TestEvaluate:
         if report.mean_violation == 0.0:
             assert report.z == report.mean_total_on_hand
 
+    @pytest.mark.parametrize("replications", [(1, 1), [2, 1], (1, 3, 2)])
+    def test_replications_that_repeat_or_decrease_rejected(self,
+                                                           replications):
+        net, pol, hist, cfg = small_scenario()
+        with pytest.raises(ValueError, match=r"^replications must be "
+                           r"strictly increasing, got \["):
+            evaluate(pol, net, hist, cfg, replications=replications)
+
     def test_report_carries_dispersion(self):
         net, pol, hist, cfg = small_scenario()
         report = evaluate(pol, net, hist, cfg)

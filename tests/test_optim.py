@@ -45,6 +45,14 @@ class TestSearchSpace:
             SearchSpace([0.0, 5.0], [10.0, 5.0])
 
     @pytest.mark.parametrize("lower,upper", [
+        ([0.0], [math.inf]), ([-math.inf], [1.0]), ([math.nan], [1.0]),
+        ([0.0, 0.0], [1.0, math.nan]),
+    ])
+    def test_rejects_non_finite_bounds(self, lower, upper):
+        with pytest.raises(ValueError, match="^bounds must be finite, got "):
+            SearchSpace(lower, upper)
+
+    @pytest.mark.parametrize("lower,upper", [
         ([0.0], [1.0, 2.0]),
         ([[0.0, 0.0]], [[1.0, 1.0]]),
     ], ids=["lengths", "2-D"])
