@@ -33,6 +33,7 @@ from .model import (
     ScenarioConfig,
     check_minimums,
     validate_network,
+    whole_number,
 )
 from .optim import Budget, SearchSpace
 from .optim.core import SETTING_MINIMUMS, STRATEGIES, check_strategy
@@ -91,13 +92,14 @@ def _float(value, context: str) -> float:
 
 
 def _integer(value, context: str) -> int:
-    """``value`` as an int in float range; fractions, strings, bools raise."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        _float(value, context)
-        return int(value)
-    raise ConfigError(f"{context}: expected an integer, got {value!r}")
+    """``value`` as an int in float range, by ``whole_number``'s rule."""
+    try:
+        number = whole_number(value, context)
+    except ValueError:
+        raise ConfigError(f"{context}: expected an integer, "
+                          f"got {value!r}") from None
+    _float(number, context)
+    return number
 
 
 def _number(value, context: str) -> float:

@@ -115,6 +115,7 @@ from .model import (
     NetworkSpec,
     PolicyVector,
     ScenarioConfig,
+    whole_number,
 )
 from .sampling import StreamKey, StreamPurpose, bootstrap_draw
 
@@ -224,6 +225,7 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
     1; ``generate_synthetic_history`` draws the history itself from
     replication 0's stream keys.
     """
+    replication_index = whole_number(replication_index, "replication_index")
     if replication_index < 1:
         raise ValueError(f"replication_index must be >= 1, got "
                          f"{replication_index}")

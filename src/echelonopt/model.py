@@ -13,8 +13,10 @@ safe to share across threads by read-only access.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
@@ -34,12 +36,38 @@ class NonFiniteInputError(ValueError):
     """A policy repair input contained NaN or infinity."""
 
 
-def check_minimums(values: Mapping, minimums: Mapping,
+def whole_number(value, name: str,
+                 error: type[ValueError] = ValueError) -> int:
+    """``value`` as an int: an int (numpy integers too) or a float with no
+    fractional part.  NaN or infinity raises ``error`` as ``<name> must be
+    finite``; a fraction, a bool or a non-number as ``<name> must be a
+    whole number``."""
+    if type(value) is int:
+        return value
+    if type(value) is float and value.is_integer():  # the ABCs are slow
+        return int(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        if isinstance(value, numbers.Integral) or float(value).is_integer():
+            return int(value)
+        if not math.isfinite(value):
+            raise error(f"{name} must be finite, got {value}")
+    raise error(f"{name} must be a whole number, got {value!r}")
+
+
+def check_minimums(values: dict, minimums: Mapping,
                    error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` naming the first name in ``minimums`` whose value
-    is below its minimum, NaN or infinite; an absent value passes."""
+    is below its minimum, NaN or infinite; an absent value passes.  A
+    name with an int minimum is a count: its value must pass
+    ``whole_number`` and is written back into ``values`` as an int, so a
+    whole float is stored as an int (``vars(self)`` of a frozen class
+    too)."""
     for name, minimum in minimums.items():
-        value = values.get(name, minimum)
+        if name not in values:
+            continue
+        value = values[name]
+        if type(minimum) is int:
+            value = values[name] = whole_number(value, name, error)
         if value < minimum:
             raise error(f"{name} must be >= {minimum:g}, got {value}")
         if not value < math.inf:  # NaN or inf; ints of any size pass
@@ -61,7 +89,8 @@ class FacilitySpec:
     ``base_lead_time`` is the minimum replenishment lead time in days from
     the upstream unit; the simulator adds a bootstrapped random delta on
     top of it.  ``target_beta`` is the fill-rate target and must be 0 for
-    facilities that do not serve customers.
+    facilities that do not serve customers.  ``base_lead_time`` is
+    stored as an int.
     """
 
     id: str
@@ -69,6 +98,10 @@ class FacilitySpec:
     base_lead_time: int
     target_beta: float = 0.0
     serves_customers: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "base_lead_time", whole_number(
+            self.base_lead_time, f"facility {self.id}: base_lead_time"))
 
 
 @dataclass(frozen=True)
@@ -80,7 +113,7 @@ class NetworkSpec:
     def __init__(self, facilities: Sequence[FacilitySpec]):
         object.__setattr__(self, "facilities", tuple(facilities))
 
-    @property
+    @cached_property  # read once per objective call, so built once
     def ids(self) -> tuple[str, ...]:
         return tuple(f.id for f in self.facilities)
 
@@ -158,9 +191,9 @@ class PolicyVector:
 
     The order-quantity rule (order up to base stock when the inventory
     position reaches the reorder point) only makes sense with
-    ``base_stock >= reorder_point >= 0``; construction enforces it, and
-    stores each value as an int, so a value that is not a whole number
-    (5.5, NaN, inf) raises.
+    ``base_stock >= reorder_point >= 0``; construction enforces it.  Each
+    value must pass ``whole_number`` and is stored as an int: a whole
+    float is stored as the equal int, and 5.5, NaN or inf raises.
     """
 
     reorder_point: Mapping[str, int]
@@ -169,20 +202,15 @@ class PolicyVector:
     def __post_init__(self):
         reorder_point = dict(self.reorder_point)
         base_stock = dict(self.base_stock)
-        if set(reorder_point) != set(base_stock):
+        if reorder_point.keys() != base_stock.keys():
             raise ValueError("reorder_point and base_stock cover different facilities")
         for fid, rop in reorder_point.items():
-            base = base_stock[fid]
-            if type(rop) is not int or type(base) is not int:
-                try:
-                    whole = int(rop), int(base)
-                except (TypeError, ValueError, OverflowError):  # NaN, inf
-                    whole = None
-                if whole != (rop, base):
-                    raise ValueError(
-                        f"facility {fid}: reorder_point and base_stock must "
-                        f"be whole numbers, got R={rop}, B={base}")
-                reorder_point[fid], base_stock[fid] = rop, base = whole
+            try:
+                rop = reorder_point[fid] = whole_number(rop, "reorder_point")
+                base = base_stock[fid] = whole_number(base_stock[fid],
+                                                      "base_stock")
+            except ValueError as exc:
+                raise ValueError(f"facility {fid}: {exc}") from None
             if not (base >= rop >= 0):
                 raise ValueError(
                     f"facility {fid}: need base_stock >= reorder_point >= 0, "
@@ -192,14 +220,14 @@ class PolicyVector:
 
     @classmethod
     def from_array(cls, network: NetworkSpec, x: np.ndarray) -> "PolicyVector":
-        """Build from the flat layout [R_1..R_F, B_1..B_F] (network order)."""
-        n = len(network.facilities)
+        """Build from the flat layout [R_1..R_F, B_1..B_F] (network order),
+        an array or any sequence; every value must be a whole number."""
+        ids = network.ids
+        n = len(ids)
         if len(x) != 2 * n:
             raise ValueError(f"expected {2 * n} values, got {len(x)}")
-        ids = network.ids
-        rop = {fid: int(x[i]) for i, fid in enumerate(ids)}
-        base = {fid: int(x[n + i]) for i, fid in enumerate(ids)}
-        return cls(rop, base)
+        values = np.asarray(x).tolist()
+        return cls(dict(zip(ids, values[:n])), dict(zip(ids, values[n:])))
 
     def to_array(self, network: NetworkSpec) -> np.ndarray:
         ids = network.ids
@@ -210,7 +238,8 @@ class PolicyVector:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Simulation horizon, replication count, and objective settings."""
+    """Simulation horizon, replication count, and objective settings;
+    horizon, replications and base_seed are stored as ints."""
 
     horizon: int = 360
     replications: int = 20
@@ -221,7 +250,7 @@ class ScenarioConfig:
 
     def __post_init__(self):
         check_minimums(vars(self), {"horizon": 1, "replications": 1,
-                                    "penalty_rho": 0, "base_seed": 0})
+                                    "penalty_rho": 0.0, "base_seed": 0})
         if not (0.0 <= self.initial_inventory_fraction <= 1.0):
             raise ValueError("initial_inventory_fraction must be in [0, 1]")
 
@@ -233,9 +262,10 @@ class HistoryDataset:
     ``demand`` holds daily customer demand per customer-serving facility;
     ``lead_delta`` holds the nonnegative random days added on top of each
     facility's base lead time.  Both are read-only mappings of read-only
-    copies of the given samples, so a dataset never changes after
-    construction.  Equality and hashing are by identity: the simulator
-    keys its draw tables on the dataset object.
+    int64 copies of the given samples, so a dataset never changes after
+    construction.  Every sample must pass ``whole_number``: a whole float
+    is stored as an int, and 0.7 raises.  Equality and hashing are by
+    identity: the simulator keys its draw tables on the dataset object.
     """
 
     demand: Mapping[str, np.ndarray]
@@ -243,9 +273,11 @@ class HistoryDataset:
 
     def __post_init__(self):
         object.__setattr__(self, "demand", MappingProxyType({
-            k: _frozen_samples(k, v) for k, v in self.demand.items()}))
+            k: _frozen_samples(k, "demand", v)
+            for k, v in self.demand.items()}))
         object.__setattr__(self, "lead_delta", MappingProxyType({
-            k: _frozen_samples(k, v) for k, v in self.lead_delta.items()}))
+            k: _frozen_samples(k, "lead_delta", v)
+            for k, v in self.lead_delta.items()}))
 
     def __reduce__(self):
         # A mapping proxy does not pickle; the copy is re-frozen, and as a
@@ -262,14 +294,17 @@ class HistoryDataset:
                 raise ValueError(f"no lead-delta history for facility {fid}")
 
 
-def _frozen_samples(fid: str, values) -> np.ndarray:
+def _frozen_samples(fid: str, series: str, values) -> np.ndarray:
+    samples = np.asarray(values)
+    if samples.ndim != 1 or samples.size == 0:
+        raise ValueError(f"facility {fid}: history must be a nonempty 1-D list")
+    name = f"facility {fid}: {series} sample"
     try:
-        arr = np.array(values, dtype=np.int64)
+        arr = np.array([whole_number(v, name) for v in samples.tolist()],
+                       dtype=np.int64)
     except OverflowError:
         raise ValueError(f"facility {fid}: history samples must fit in "
                          "int64") from None
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"facility {fid}: history must be a nonempty 1-D list")
     if (arr < 0).any():
         raise ValueError(f"facility {fid}: history samples must be nonnegative")
     arr.setflags(write=False)

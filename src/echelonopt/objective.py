@@ -22,7 +22,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .engine import SimulationOutcome, sim_network
-from .model import HistoryDataset, NetworkSpec, PolicyVector, ScenarioConfig
+from .model import (
+    HistoryDataset,
+    NetworkSpec,
+    PolicyVector,
+    ScenarioConfig,
+    whole_number,
+)
 
 
 @dataclass(frozen=True)
@@ -92,8 +98,8 @@ def evaluate(policy: PolicyVector, network: NetworkSpec,
              history: HistoryDataset, config: ScenarioConfig,
              replications: Sequence[int] | None = None) -> ObjectiveReport:
     """Run the policy on each of the replications, a strictly increasing
-    sequence such as a range, and return the penalized objective; the
-    default is 1..``config.replications``.
+    sequence of whole numbers such as a range, and return the penalized
+    objective; the default is 1..``config.replications``.
 
     Replication n always draws from the streams keyed by n, so the
     outcomes of two ranges, folded in replication order by
@@ -101,9 +107,11 @@ def evaluate(policy: PolicyVector, network: NetworkSpec,
     """
     if replications is None:
         replications = range(1, config.replications + 1)
-    elif any(b <= a for a, b in pairwise(replications)):
-        raise ValueError(f"replications must be strictly increasing, "
-                         f"got {list(replications)}")
+    else:
+        replications = [whole_number(n, "replications") for n in replications]
+        if any(b <= a for a, b in pairwise(replications)):
+            raise ValueError(f"replications must be strictly increasing, "
+                             f"got {replications}")
     outcomes = [
         sim_network(network, policy, history, config, replication_index=n)
         for n in replications

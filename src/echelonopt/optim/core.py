@@ -26,7 +26,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..model import check_minimums
+from ..model import check_minimums, whole_number
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -99,12 +99,16 @@ class SearchSpace:
 
 @dataclass(frozen=True)
 class Budget:
-    """The stop rule of one optimizer run: evaluations and wall minutes."""
+    """The stop rule of one optimizer run: evaluations and wall minutes;
+    ``max_evaluations`` must pass ``whole_number``, and a whole float is
+    stored as the equal int."""
 
     max_evaluations: int = 1000
     max_minutes: float = 1440.0
 
     def __post_init__(self):
+        object.__setattr__(self, "max_evaluations", whole_number(
+            self.max_evaluations, "max_evaluations"))
         for name in ("max_evaluations", "max_minutes"):
             value = getattr(self, name)
             if value <= 0:
@@ -113,9 +117,10 @@ class Budget:
                 raise ValueError(f"{name} must be finite, got {value}")
 
 
-# The least value of each search setting, whichever search takes it.
+# The least value of each search setting, whichever search takes it; an
+# int minimum makes the setting a count.
 SETTING_MINIMUMS = {"cycles": 1, "iterations_per_cycle": 1,
-                    "n_random_starts": 1, "kappa": 0, "seed": 0}
+                    "n_random_starts": 1, "kappa": 0.0, "seed": 0}
 
 STRATEGIES = ("nelder-mead", "gp", "rbf")
 
@@ -228,8 +233,9 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     ``repair`` must keep points in the box and map each row of a 2-D
     array of proposals as it maps a single proposal; ``strategy_kwargs``
     are the search's settings, checked against ``SETTING_MINIMUMS``
-    before the search starts.  A given ``x0`` must be ``space.dim``
-    finite numbers; it is clipped into the box.
+    before the search starts and passed on with each count as an int.  A
+    given ``x0`` must be ``space.dim`` finite numbers; it is clipped into
+    the box.
     """
     # read at call time: the benchmark's tracer replaces these attributes.
     # The first call loads SciPy here, before the tracker's clock starts.
@@ -238,7 +244,8 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     searches = {"nelder-mead": nelder_mead.nelder_mead_restart,
                 "gp": gp.gp_optimize, "rbf": rbf.rbf_optimize}
     check_strategy(strategy)
-    check_minimums(dict(strategy_kwargs, seed=seed), SETTING_MINIMUMS)
+    settings = dict(strategy_kwargs, seed=seed)
+    check_minimums(settings, SETTING_MINIMUMS)
     if x0 is not None:
         x0 = np.asarray(x0, dtype=float)
         if x0.shape != (space.dim,) or not np.isfinite(x0).all():
@@ -248,8 +255,7 @@ def minimize(objective: Callable[[np.ndarray], float], space: SearchSpace,
     tracker = EvaluationTracker(objective, budget or Budget(), repair=repair,
                                 log=log)
     try:
-        searches[strategy](tracker, space, seed=seed, x0=x0,
-                           **strategy_kwargs)
+        searches[strategy](tracker, space, x0=x0, **settings)
     except _StopSearch:
         pass
     return tracker.finish(strategy)

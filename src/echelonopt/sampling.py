@@ -18,7 +18,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .model import HistoryDataset, NetworkSpec, check_minimums
+from .model import HistoryDataset, NetworkSpec, check_minimums, whole_number
 
 
 class EmptyHistoryError(ValueError):
@@ -83,7 +83,7 @@ class SeriesParams:
     spread: float
 
     def __post_init__(self):
-        check_minimums(vars(self), {"mean": 0, "spread": 0},
+        check_minimums(vars(self), {"mean": 0.0, "spread": 0.0},
                        InvalidParamsError)
 
 
@@ -122,7 +122,9 @@ def generate_synthetic_history(network: NetworkSpec,
     Demand series are produced only for customer-serving facilities;
     lead-delta series for every facility.  Each series has its own
     stream, so adding a facility never shifts another facility's data.
+    ``seed`` must be a whole number.
     """
+    seed = whole_number(seed, "seed")
     for fid in network.customer_ids:
         if fid not in params.demand:
             raise InvalidParamsError(f"no demand params for customer facility {fid}")

@@ -146,6 +146,9 @@ class TestPolicyVector:
             {"1": 3000, "2": 600, "3": 900, "4": 300, "5": 600})
         x = pol.to_array(net)
         assert PolicyVector.from_array(net, x) == pol
+        # any sequence, as a JSON summary's best point is a list of ints
+        assert PolicyVector.from_array(net, tuple(x.astype(int))) == pol
+        assert PolicyVector.from_array(net, x.tolist()) == pol
 
     def test_base_below_reorder_rejected(self):
         with pytest.raises(ValueError):
@@ -169,14 +172,16 @@ class TestPolicyVector:
     @pytest.mark.parametrize("rop,base", [
         (5.5, 20), (5, 20.2), (math.nan, 20), (5, math.nan), (5, math.inf),
         (-math.inf, 20), (np.float64(5.5), 20), ("5", 20), (None, 20),
+        (True, 20),
     ])
     def test_value_that_is_not_a_whole_number_rejected(self, rop, base):
-        with pytest.raises(ValueError, match=r"^facility b: reorder_point "
-                           "and base_stock must be whole numbers, got "):
+        field = "reorder_point" if base == 20 else "base_stock"
+        with pytest.raises(ValueError, match=rf"^facility b: {field} must "
+                           "be (a whole number|finite), got "):
             PolicyVector({"a": 1, "b": rop}, {"a": 2, "b": base})
 
     def test_whole_numbers_are_stored_as_ints(self):
-        pol = PolicyVector({"a": 5.0, "b": np.int64(2), "c": True},
+        pol = PolicyVector({"a": 5.0, "b": np.int64(2), "c": np.uint8(1)},
                            {"a": np.float64(20.0), "b": 3, "c": 1})
         assert pol.reorder_point == {"a": 5, "b": 2, "c": 1}
         assert pol.base_stock == {"a": 20, "b": 3, "c": 1}
@@ -223,25 +228,29 @@ def _build(owner, name, value):
 @pytest.mark.parametrize("owner,name,minimum,error", [
     (ScenarioConfig, "horizon", 1, ValueError),
     (ScenarioConfig, "replications", 1, ValueError),
-    (ScenarioConfig, "penalty_rho", 0, ValueError),
+    (ScenarioConfig, "penalty_rho", 0.0, ValueError),
     (ScenarioConfig, "base_seed", 0, ValueError),
-    (SeriesParams, "mean", 0, InvalidParamsError),
-    (SeriesParams, "spread", 0, InvalidParamsError),
+    (SeriesParams, "mean", 0.0, InvalidParamsError),
+    (SeriesParams, "spread", 0.0, InvalidParamsError),
     (HistoryGenParams, "length", 1, InvalidParamsError),
     *(("settings", name, minimum, ValueError)
       for name, minimum in SETTING_MINIMUMS.items()),
-], ids=lambda v: getattr(v, "__name__", str(v)))
+], ids=lambda v: getattr(v, "__name__", f"{v:g}" if type(v) is float
+                         else str(v)))
 @pytest.mark.parametrize("value,rule", [
     (math.nan, "finite, got nan"),
     (math.inf, "finite, got inf"),
-    (-math.inf, ">= {minimum}, got -inf"),
-    ("below", ">= {minimum}, got {below}"),
+    (-math.inf, ">= {minimum:g}, got -inf"),
+    ("below", ">= {minimum:g}, got {below}"),
 ], ids=["nan", "inf", "-inf", "below"])
 def test_value_below_its_minimum_or_not_finite_rejected(owner, name, minimum,
                                                         error, value, rule):
     below = minimum - 0.5
     if value == "below":
         value = below
+    if type(minimum) is int:  # a count: the whole-number rule comes first
+        rule = ("finite, got -inf" if value == -math.inf
+                else rule.replace(">= {minimum:g}", "a whole number"))
     expected = rule.format(minimum=minimum, below=below)
     with pytest.raises(error, match=rf"^{name} must be {expected}$"):
         _build(owner, name, value)
