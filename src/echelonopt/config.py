@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from pathlib import Path
@@ -32,6 +30,7 @@ from .model import (
     PolicyVector,
     ScenarioConfig,
     check_minimums,
+    finite_number,
     validate_network,
     whole_number,
 )
@@ -103,11 +102,13 @@ def _integer(value, context: str) -> int:
 
 
 def _number(value, context: str) -> float:
-    """``value`` as a finite float; strings, booleans and null raise."""
-    if (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(_float(value, context))):
-        return float(value)
-    raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    """``value`` as a float in float range, by ``finite_number``'s rule."""
+    try:
+        number = finite_number(value, context)
+    except ValueError:
+        raise ConfigError(f"{context}: expected a finite number, "
+                          f"got {value!r}") from None
+    return _float(number, context)
 
 
 def _boolean(value, context: str) -> bool:
@@ -310,6 +311,15 @@ def _history_file(history_dir: str | Path, series: str, fid: str) -> Path:
     return Path(history_dir) / f"{series}_{fid}.csv"
 
 
+def _count(text: str) -> int:
+    """A history CSV value as an int by ``whole_number``'s rule, so "3.0"
+    reads as 3; int() first keeps every digit of a large value."""
+    try:
+        return int(text)
+    except ValueError:
+        return whole_number(float(text), "value")
+
+
 def _read_series(history_dir: str | Path, series: str,
                  fid: str) -> np.ndarray:
     path = _history_file(history_dir, series, fid)
@@ -321,7 +331,7 @@ def _read_series(history_dir: str | Path, series: str,
         raise ConfigError(f"{path}: expected single-column CSV with "
                           f"header {series!r}")
     try:
-        return np.array([int(r[0]) for r in rows[1:]], dtype=np.int64)
+        return np.array([_count(r[0]) for r in rows[1:]], dtype=np.int64)
     except ValueError:
         raise ConfigError(f"{path}: non-integer value in series") from None
     except OverflowError:

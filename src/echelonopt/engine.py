@@ -36,10 +36,32 @@ Replenishment mechanics:
 
 Implementation.  One replication is a single flat day loop over
 per-facility lists indexed by network position; there are no per-facility
-objects, and no helper calls inside the loop but ``emit`` while the
-event log is on; as in the oracle ``tests/reference_engine.py``, it
-builds every event, and the trace is one row per facility-day.  State
-changes only when stock moves, and exact integer identities give the rest:
+objects.  The loop is generated: ``_LOOP`` and its block templates are the
+one text of the day's rules, and ``_day_loop`` compiles them once per key
+of supply topology (each facility's upstream position), demand choice and
+recorder setting into a function that tests none of the three by day.
+
+* Baked in: phases 3 and 4 are unrolled, one block per supplier and one
+  per facility, each at its constant position, with the facility's base
+  stock and its upstream's queue (or its own lead-time iterator, for an
+  order from SOURCE) bound to locals before day 1.  Only the chosen
+  demand rule is emitted, and the event and trace lines only when their
+  recorder is on; ``emit`` is then the one helper called in the loop.
+* Still loops: phase 1 walks the day's arrivals, which vary by day, and
+  phase 2 the replication's (position, demand by day) pairs.  Unrolling
+  phase 2 too, and keeping state in locals, are left to a later stage
+  (ROADMAP item 14).  State stays in the per-facility lists that
+  ``sim_network`` builds and reads afterwards.
+* Only integers reach the source.  Facility ids come from config files,
+  so an event reads its names from ``ids`` by position as the loop runs.
+* The compiled loops are kept in a bounded ``lru_cache`` keyed by
+  integers and flags alone, so it holds no draw table, history or
+  scenario; a value-equal network, a new history or another policy
+  reuses the loop, and nothing is compiled at import.
+
+As in the oracle ``tests/reference_engine.py``, the event log holds every
+event, and the trace is one row per facility-day.  State changes only
+when stock moves, and exact integer identities give the rest:
 
 * The ordering test reads ``trigger = reorder_point - on_order``, which
   changes only when an order is placed (``-= q``) or lands (``+= q``):
@@ -105,6 +127,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 from operator import itemgetter
 
@@ -156,7 +179,6 @@ class _Scenario:
         self.upstream = tuple(-1 if f.upstream == SOURCE
                               else position_of[f.upstream]
                               for f in network.facilities)
-        self.suppliers = tuple(sorted(set(self.upstream) - {-1}))
         self.customers = tuple(position_of[fid]
                                for fid in network.customer_ids)
         self._draws: dict[int, tuple] = {}
@@ -212,6 +234,180 @@ def _prepare(network: NetworkSpec, history: HistoryDataset, horizon: int,
     return scenario
 
 
+# The day's rules, written once.  _day_loop keeps the lines whose tags
+# (a trailing "#" and capital letters) are all on: B backorders, L lost
+# sales, E the event log, T the trace; in a facility's block also Q an
+# upstream facility, S SOURCE and P a supplier.  Each "@" line becomes
+# one block per facility ("@supply": per supplier) with the facility's
+# position for {f} and its upstream's (-1 for SOURCE) for {up}.
+_LOOP = """\
+def day_loop(horizon, ids, customers, leads, reorder_point, base_stock,
+             on_hand, held, backorders, short, events, rows):
+    trigger = list(reorder_point)
+    next_lead = [iter(lead).__next__ for lead in leads]
+    calendar = [[] for _ in range(horizon + 1)]
+    next_order_id = 0
+    @setup
+    names = (*ids, SOURCE)  #E
+    def emit(kind, day, f, **data):  #E
+        events.append((len(events), day, names[f], kind, data))  #E
+    # Demand not shipped so far: lost sales, or else the open backlog.  #T
+    unserved = short  #LT
+    unserved = backorders  #BT
+    unserved_before = [0] * len(ids)  #T
+    demand_rows = [(0,) * (horizon + 1)] * len(ids)  #T
+    for f, demand_by_day in customers:  #T
+        demand_rows[f] = demand_by_day  #T
+    for day, weight in zip(range(1, horizon + 1), range(horizon, 0, -1)):
+        # Phase 1: arrivals
+        arriving = calendar[day]
+        if arriving:
+            arriving.sort(key=_DESTINATION)  #E
+            for dest, quantity, order_id in arriving:
+                on_hand[dest] += quantity
+                trigger[dest] += quantity
+                held[dest] += quantity * weight
+                emit("arrive", day, dest, order_id=order_id,  #E
+                     quantity=quantity)  #E
+        # Phase 2: customer service.  An ordinary day (demand in stock, no
+        # backlog) is one store: its share of held is already in W.
+        for f, demand_by_day in customers:
+            demand = demand_by_day[day]
+            stock = on_hand[f]
+            if demand <= stock and not backorders[f]:  #B
+            if demand <= stock:  #L
+                on_hand[f] = stock - demand
+                shipped = demand  #E
+            else:
+                shipped = stock  #L
+                short[f] += demand - stock  #L
+                wanted = demand + backorders[f]  #B
+                if wanted <= stock:  #B
+                    shipped = wanted  #B
+                    backorders[f] = 0  #B
+                else:  #B
+                    shipped = stock  #B
+                    backorders[f] = wanted - stock  #B
+                    if demand > stock:  #B
+                        short[f] += demand - stock  #B
+                on_hand[f] = stock - shipped
+                held[f] += (demand - shipped) * weight
+            emit("serve", day, f, demand=demand, shipped=shipped)  #E
+        # Phase 3: replenishment fulfillment
+        @supply
+        # Phase 4: order placement
+        @order
+        for f, row in enumerate(rows):  #T
+            demand = demand_rows[f][day]  #T
+            # Shipped today: demand less today's growth of unserved.  #T
+            row.append((on_hand[f],  #T
+                        on_hand[f] + reorder_point[f] - trigger[f],  #T
+                        backorders[f], demand,  #T
+                        demand - unserved[f] + unserved_before[f]))  #T
+            unserved_before[f] = unserved[f]  #T
+"""
+_SETUP = """\
+base_{f} = base_stock[{f}]
+lead_{f} = next_lead[{f}]  #S
+queue_{f} = deque()  #P
+"""
+_SUPPLY = """\
+if queue_{f}:
+    stock = on_hand[{f}]
+    taken = 0
+    while queue_{f}:
+        order = queue_{f}[0]
+        quantity, dest, order_id, reserved = order
+        if reserved is None:
+            # First touch: grab what is on hand, once.
+            grabbed = quantity if quantity < stock else stock
+            stock -= grabbed
+            taken += grabbed
+            if grabbed < quantity:
+                order[3] = grabbed
+                emit("reserve", day, {f}, order_id=order_id,  #E
+                     quantity=grabbed)  #E
+                break
+        else:
+            remainder = quantity - reserved
+            if stock < remainder:
+                break
+            stock -= remainder
+            taken += remainder
+        queue_{f}.popleft()
+        lead = next_lead[dest]()
+        land = day + lead if lead else day + 1
+        if land <= horizon:
+            calendar[land].append((dest, quantity, order_id))
+        emit("ship", day, {f}, order_id=order_id, quantity=quantity,  #E
+             destination=ids[dest], arrival_day=day + lead)  #E
+    on_hand[{f}] = stock
+    held[{f}] -= taken * weight
+"""
+_ORDER = """\
+if on_hand[{f}] <= trigger[{f}]:
+    quantity = base_{f} - on_hand[{f}]
+    if quantity > 0:
+        order_id = next_order_id
+        next_order_id += 1
+        trigger[{f}] -= quantity
+        emit("order", day, {f}, order_id=order_id, quantity=quantity,  #E
+             upstream=names[{up}])  #E
+        queue_{up}.append([quantity, {f}, order_id, None])  #Q
+        # SOURCE never queues: unbounded stock, no wait.  #S
+        lead = lead_{f}()  #S
+        land = day + lead if lead else day + 1  #S
+        if land <= horizon:  #S
+            calendar[land].append(({f}, quantity, order_id))  #S
+        emit("ship", day, {up}, order_id=order_id, quantity=quantity,  #SE
+             destination=ids[{f}], arrival_day=day + lead)  #SE
+"""
+
+
+def _kept(template: str, on: set[str]) -> list[str]:
+    """The template's lines whose tags are all on, without their tags."""
+    lines = []
+    for line in template.splitlines():
+        code, tagged, tags = line.rpartition("  #")
+        if not (tagged and tags.isalpha() and tags.isupper()):
+            lines.append(line)
+        elif on.issuperset(tags):
+            lines.append(code)
+    return lines
+
+
+@lru_cache(maxsize=256)
+def _day_loop(upstream: tuple[int, ...], lost_sales: bool,
+              record_trace: bool, record_events: bool):
+    """The compiled day loop for one supply topology (each facility's
+    upstream position, -1 for SOURCE), demand choice and recorder
+    setting.  Only integers reach the source: facility ids are read from
+    ``ids`` by position when the loop runs."""
+    on = {"L" if lost_sales else "B"}
+    on |= {"T"} if record_trace else set()
+    on |= {"E"} if record_events else set()
+    suppliers = set(upstream) - {-1}
+    blocks = {"@setup": _SETUP, "@supply": _SUPPLY, "@order": _ORDER}
+    source = []
+    for line in _kept(_LOOP, on):
+        marker = line.lstrip()
+        if marker not in blocks:
+            source.append(line)
+            continue
+        indent = line[:-len(marker)]
+        for f, up in enumerate(upstream):
+            if marker == "@supply" and f not in suppliers:
+                continue
+            facility_on = on | {"Q" if up >= 0 else "S"}
+            facility_on |= {"P"} if f in suppliers else set()
+            source += [indent + code for code in _kept(
+                blocks[marker].format(f=f, up=up), facility_on)]
+    namespace = {"deque": deque, "SOURCE": SOURCE,
+                 "_DESTINATION": _DESTINATION}
+    exec(compile("\n".join(source), "<day loop>", "exec"), namespace)
+    return namespace["day_loop"]
+
+
 def sim_network(network: NetworkSpec, policy: PolicyVector,
                 history: HistoryDataset, config: ScenarioConfig,
                 replication_index: int, *, record_trace: bool = False,
@@ -237,155 +433,26 @@ def sim_network(network: NetworkSpec, policy: PolicyVector,
     except KeyError as missing:
         raise InvalidPolicyError(
             f"policy missing facility {missing.args[0]}") from None
-    upstream, suppliers = prepared.upstream, prepared.suppliers
     customers, total_demand, weighted_demand, leads = \
         prepared.draws(replication_index)
-    next_lead = [iter(lead).__next__ for lead in leads]
-
     horizon = config.horizon
     lost_sales = config.demand_choice is DemandChoice.LOST_SALES
     n = len(ids)
 
     on_hand = [int(round(config.initial_inventory_fraction * b))
                for b in base_stock]
-    # trigger and held follow the identities in the module docstring.
-    trigger = list(reorder_point)
+    # held follows the identities in the module docstring.
     held = [horizon * start - weighted
             for start, weighted in zip(on_hand, weighted_demand)]
     backorders = [0] * n
     short = [0] * n
     # Demand not shipped so far: lost sales, or else the open backlog.
     unserved = short if lost_sales else backorders
-    queues = [deque() for _ in ids]
-    calendar: list[list[tuple[int, int, int]]] = [
-        [] for _ in range(horizon + 1)]
-
     events: list[tuple] | None = [] if record_events else None
-    names = (*ids, SOURCE)  # names[-1] is SOURCE, the upstream index -1
-
-    def emit(kind, day, f, **data):  # called only while events are on
-        events.append((len(events), day, names[f], kind, data))
-    if record_trace:
-        rows = [[] for _ in ids]
-        demand_rows = [(0,) * (horizon + 1)] * n
-        for f, demand_by_day in customers:
-            demand_rows[f] = demand_by_day
-        unserved_before = [0] * n
-
-    next_order_id = 0
-    for day, weight in zip(range(1, horizon + 1), range(horizon, 0, -1)):
-        # Phase 1: arrivals
-        arriving = calendar[day]
-        if arriving:
-            if events is not None:
-                arriving.sort(key=_DESTINATION)
-            for dest, quantity, order_id in arriving:
-                on_hand[dest] += quantity
-                trigger[dest] += quantity
-                held[dest] += quantity * weight
-                if events is not None:
-                    emit("arrive", day, dest, order_id=order_id,
-                         quantity=quantity)
-
-        # Phase 2: customer service.  An ordinary day (demand in stock, no
-        # backlog) is one store: its share of held is already in W.
-        for f, demand_by_day in customers:
-            demand = demand_by_day[day]
-            stock = on_hand[f]
-            if demand <= stock and not backorders[f]:
-                on_hand[f] = stock - demand
-                shipped = demand
-            else:
-                if lost_sales:  # so demand > stock
-                    shipped = stock
-                    short[f] += demand - stock
-                else:
-                    wanted = demand + backorders[f]
-                    if wanted <= stock:
-                        shipped = wanted
-                        backorders[f] = 0
-                    else:
-                        shipped = stock
-                        backorders[f] = wanted - stock
-                        if demand > stock:
-                            short[f] += demand - stock
-                on_hand[f] = stock - shipped
-                held[f] += (demand - shipped) * weight
-            if events is not None:
-                emit("serve", day, f, demand=demand, shipped=shipped)
-
-        # Phase 3: replenishment fulfillment
-        for f in suppliers:
-            queue = queues[f]
-            if not queue:
-                continue
-            stock = on_hand[f]
-            taken = 0
-            while queue:
-                order = queue[0]
-                quantity, dest, order_id, reserved = order
-                if reserved is None:
-                    # First touch: grab what is on hand, once.
-                    grabbed = quantity if quantity < stock else stock
-                    stock -= grabbed
-                    taken += grabbed
-                    if grabbed < quantity:
-                        order[3] = grabbed
-                        if events is not None:
-                            emit("reserve", day, f, order_id=order_id,
-                                 quantity=grabbed)
-                        break
-                else:
-                    remainder = quantity - reserved
-                    if stock < remainder:
-                        break
-                    stock -= remainder
-                    taken += remainder
-                queue.popleft()
-                lead = next_lead[dest]()
-                land = day + lead if lead else day + 1
-                if land <= horizon:
-                    calendar[land].append((dest, quantity, order_id))
-                if events is not None:
-                    emit("ship", day, f, order_id=order_id, quantity=quantity,
-                         destination=ids[dest], arrival_day=day + lead)
-            on_hand[f] = stock
-            held[f] -= taken * weight
-
-        # Phase 4: order placement
-        for f in range(n):
-            if on_hand[f] <= trigger[f]:
-                quantity = base_stock[f] - on_hand[f]
-                if quantity > 0:
-                    order_id = next_order_id
-                    next_order_id += 1
-                    trigger[f] -= quantity
-                    up = upstream[f]
-                    if events is not None:
-                        emit("order", day, f, order_id=order_id,
-                             quantity=quantity, upstream=names[up])
-                    if up >= 0:
-                        queues[up].append([quantity, f, order_id, None])
-                    else:
-                        # SOURCE never queues: unbounded stock, no wait.
-                        lead = next_lead[f]()
-                        land = day + lead if lead else day + 1
-                        if land <= horizon:
-                            calendar[land].append((f, quantity, order_id))
-                        if events is not None:
-                            emit("ship", day, up, order_id=order_id,
-                                 quantity=quantity, destination=ids[f],
-                                 arrival_day=day + lead)
-
-        if record_trace:
-            for f in range(n):
-                demand = demand_rows[f][day]
-                # Shipped today: demand less today's growth of unserved.
-                rows[f].append((on_hand[f],
-                                on_hand[f] + reorder_point[f] - trigger[f],
-                                backorders[f], demand,
-                                demand - unserved[f] + unserved_before[f]))
-                unserved_before[f] = unserved[f]
+    rows = [[] for _ in ids] if record_trace else None
+    _day_loop(prepared.upstream, lost_sales, record_trace, record_events)(
+        horizon, ids, customers, leads, reorder_point, base_stock, on_hand,
+        held, backorders, short, events, rows)
 
     total_shipped = [d - u for d, u in zip(total_demand, unserved)]
     # The fill rate: shipped / demand under lost sales, 1 - late / demand

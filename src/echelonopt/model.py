@@ -54,24 +54,34 @@ def whole_number(value, name: str,
     raise error(f"{name} must be a whole number, got {value!r}")
 
 
+def finite_number(value, name: str, error: type[ValueError] = ValueError):
+    """``value`` itself if it is a finite real number (numpy reals and
+    ints of any size too).  NaN or infinity raises ``error`` as ``<name>
+    must be finite``; a bool or a non-number as ``<name> must be a
+    number``."""
+    if type(value) in (float, int) or (isinstance(value, numbers.Real)
+                                       and not isinstance(value, bool)):
+        if -math.inf < value < math.inf:  # NaN fails; big ints pass
+            return value
+        raise error(f"{name} must be finite, got {value}")
+    raise error(f"{name} must be a number, got {value!r}")
+
+
 def check_minimums(values: dict, minimums: Mapping,
                    error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` naming the first name in ``minimums`` whose value
-    is below its minimum, NaN or infinite; an absent value passes.  A
-    name with an int minimum is a count: its value must pass
+    is below its minimum, not a number, NaN or infinite; an absent value
+    passes.  A name with an int minimum is a count: its value must pass
     ``whole_number`` and is written back into ``values`` as an int, so a
     whole float is stored as an int (``vars(self)`` of a frozen class
-    too)."""
+    too).  Any other value must pass ``finite_number``."""
     for name, minimum in minimums.items():
         if name not in values:
             continue
-        value = values[name]
-        if type(minimum) is int:
-            value = values[name] = whole_number(value, name, error)
+        rule = whole_number if type(minimum) is int else finite_number
+        value = values[name] = rule(values[name], name, error)
         if value < minimum:
             raise error(f"{name} must be >= {minimum:g}, got {value}")
-        if not value < math.inf:  # NaN or inf; ints of any size pass
-            raise error(f"{name} must be finite, got {value}")
 
 
 class NetworkValidationError(ValueError):
@@ -251,7 +261,8 @@ class ScenarioConfig:
     def __post_init__(self):
         check_minimums(vars(self), {"horizon": 1, "replications": 1,
                                     "penalty_rho": 0.0, "base_seed": 0})
-        if not (0.0 <= self.initial_inventory_fraction <= 1.0):
+        if not 0.0 <= finite_number(self.initial_inventory_fraction,
+                                    "initial_inventory_fraction") <= 1.0:
             raise ValueError("initial_inventory_fraction must be in [0, 1]")
 
 

@@ -19,14 +19,13 @@ budget and is still recorded and logged.
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from ..model import check_minimums, whole_number
+from ..model import check_minimums, finite_number, whole_number
 
 
 class BudgetExhaustedError(RuntimeError):
@@ -101,7 +100,7 @@ class SearchSpace:
 class Budget:
     """The stop rule of one optimizer run: evaluations and wall minutes;
     ``max_evaluations`` must pass ``whole_number``, and a whole float is
-    stored as the equal int."""
+    stored as the equal int; ``max_minutes`` must pass ``finite_number``."""
 
     max_evaluations: int = 1000
     max_minutes: float = 1440.0
@@ -109,12 +108,11 @@ class Budget:
     def __post_init__(self):
         object.__setattr__(self, "max_evaluations", whole_number(
             self.max_evaluations, "max_evaluations"))
+        finite_number(self.max_minutes, "max_minutes")
         for name in ("max_evaluations", "max_minutes"):
             value = getattr(self, name)
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
-            if not value < math.inf:  # NaN or inf; ints of any size pass
-                raise ValueError(f"{name} must be finite, got {value}")
 
 
 # The least value of each search setting, whichever search takes it; an

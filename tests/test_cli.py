@@ -8,6 +8,7 @@ from dataclasses import MISSING, fields
 from pathlib import Path
 from typing import get_type_hints
 
+import numpy as np
 import pytest
 
 from echelonopt import cli
@@ -1004,6 +1005,9 @@ class TestConfigValidation:
                      "expected single-column CSV", id="history-extra-cell"),
         pytest.param("optimize", None, ("demand_1.csv", "demand\n1.5\n"),
                      "non-integer value in series", id="history-fraction"),
+        pytest.param("optimize", None, ("demand_1.csv", "demand\nnan\n"),
+                     "demand_1.csv: non-integer value in series",
+                     id="history-nan"),
         pytest.param("optimize", None, ("demand_1.csv", "demand\n-3\n"),
                      "history samples must be nonnegative",
                      id="history-negative"),
@@ -1041,6 +1045,18 @@ class TestConfigValidation:
         if fragment.startswith("error:"):  # the whole line is given
             assert errors[0] == fragment
         assert not out.exists()
+
+    def test_whole_float_history_values_read_as_ints(self, history_dir,
+                                                     tmp_path):
+        # the whole-number rule of HistoryDataset, for text: 3.0 is 3
+        from echelonopt.config import load_config, read_history
+        network = load_config(self.write(tmp_path, self.base())).network
+        hist = shutil.copytree(history_dir, tmp_path / "history")
+        (hist / "demand_1.csv").write_text(
+            "demand\n3.0\n7\n1e1\n9007199254740993\n")
+        demand = read_history(hist, network).demand["1"]
+        assert demand.tolist() == [3, 7, 10, 2**53 + 1]
+        assert demand.dtype == np.int64
 
     def test_invalid_network_rejected(self, tmp_path):
         from echelonopt.config import ConfigError, load_config

@@ -1,4 +1,5 @@
-"""SciPy loads with the first search, not with the package.
+"""SciPy loads with the first search, and the engine compiles its first
+day loop with the first simulation, not with the package.
 
 Each case runs in a fresh interpreter, because an earlier test in this
 process has already imported SciPy.
@@ -87,4 +88,13 @@ import sys
 import echelonopt.optim
 assert not hasattr(echelonopt.optim, "nope")
 assert not [m for m in sys.modules if m.split(".")[0] == "scipy"]
+""")
+
+
+def test_import_compiles_no_day_loop():
+    run_python("""
+import echelonopt, echelonopt.cli
+from echelonopt import engine
+info = engine._day_loop.cache_info()
+assert info.misses == info.currsize == 0, info
 """)

@@ -1,6 +1,8 @@
+import gc
+import weakref
 from collections import deque
 from dataclasses import fields, replace
-from itertools import product
+from itertools import islice, product
 
 import numpy as np
 import pytest
@@ -384,6 +386,29 @@ class TestMatchesReferenceEngine:
                             == sum(trace["on_hand"]) / cfg.horizon)
                     assert out.total_shipped[fid] == sum(trace["shipped"])
 
+    def test_every_demand_choice_and_recorder_setting(self):
+        # The 1,000 networks of acceptance criterion 5, each under both
+        # demand choices and all four recorder settings: every setting
+        # runs its own generated loop, and each must give the reference's
+        # outcome, with only the recorders it asked for.
+        rng = np.random.default_rng(424242)
+        scenarios = [_random_scenario(rng) for _ in range(1000)]
+        # one topology after another, so its eight loops compile once
+        scenarios.sort(key=lambda s: [f.upstream for f in s[0].facilities])
+        for net, pol, hist, base_cfg in scenarios:
+            for choice in DemandChoice:
+                cfg = replace(base_cfg, demand_choice=choice)
+                want = outcome_fields(reference_sim_network(
+                    net, pol, hist, cfg, 1, record_trace=True,
+                    record_events=True))
+                for trace, events in product((False, True), repeat=2):
+                    got = sim_network(net, pol, hist, cfg, 1,
+                                      record_trace=trace,
+                                      record_events=events)
+                    assert outcome_fields(got) == {
+                        **want, "trace": want["trace"] if trace else None,
+                        "events": want["events"] if events else None}
+
     def test_backlog_cleared_by_same_day_arrival(self):
         # R=15, B=30, start 27, demand 10: day 2 orders 23, due day 5.
         # Days 3-4 build a backlog of 13; day 5's arrival of 23 clears it
@@ -737,3 +762,120 @@ class TestEventConventions:
         hub_ships = [e[1] for e in out.events
                      if e[3] == "ship" and e[2] == "hub"]
         assert hub_ships[0] == 6
+
+
+def count_compiles(monkeypatch):
+    compiled = []
+
+    def counting(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+    monkeypatch.setattr(engine, "compile", counting, raising=False)
+    return compiled
+
+
+class TestDayLoopCache:
+    """One compiled loop per (topology, demand choice, recorders), and
+    the cache holds nothing else."""
+
+    def test_one_compile_per_key(self, monkeypatch):
+        net, hist, cfg, policy = cache_scenario()
+        engine._day_loop.cache_clear()
+        compiled = count_compiles(monkeypatch)
+        keys = list(product(DemandChoice, (False, True), (False, True)))
+        for _ in range(2):
+            for choice, trace, events in keys:
+                for rep in (1, 2):
+                    sim_network(net, policy, hist,
+                                replace(cfg, demand_choice=choice), rep,
+                                record_trace=trace, record_events=events)
+        assert len(compiled) == len(set(compiled)) == len(keys)
+        assert engine._day_loop.cache_info().currsize == len(keys)
+
+    def test_value_equal_network_reuses_the_loop(self, monkeypatch):
+        net, hist, cfg, policy = cache_scenario()
+        sim_network(net, policy, hist, cfg, 1)
+        compiled = count_compiles(monkeypatch)
+        anew = NetworkSpec([replace(f) for f in net.facilities])
+        assert anew == net and anew is not net
+        sim_network(anew, policy, hist, cfg, 1)
+        # the key holds positions only: other lead times, the same loop
+        sim_network(other_network(net, hist, cfg)[0], policy, hist, cfg, 1)
+        assert compiled == []
+
+    def test_new_history_objects_neither_grow_the_cache_nor_live_on(
+            self, monkeypatch):
+        # compare reads its history anew for every run
+        net, hist, cfg, policy = cache_scenario()
+        engine._day_loop.cache_clear()
+        compiled = count_compiles(monkeypatch)
+        alive = []
+        for _ in range(20):
+            fresh = equal_history(net, hist, cfg)[1]
+            evaluate(policy, net, fresh, cfg)
+            alive.append(weakref.ref(fresh))
+        del fresh
+        assert len(compiled) == 1
+        assert engine._day_loop.cache_info().currsize == 1
+        engine._last_scenario.clear()
+        gc.collect()
+        assert [ref for ref in alive if ref() is not None] == []
+
+    def test_cache_is_bounded(self):
+        engine._day_loop.cache_clear()
+        size = engine._day_loop.cache_info().maxsize
+        # distinct six-facility topologies: each picks SOURCE or an
+        # earlier facility as every facility's upstream
+        topologies = product(*(range(-1, i) for i in range(6)))
+        for upstream in islice(topologies, size + 2):
+            engine._day_loop(upstream, False, False, False)
+        assert engine._day_loop.cache_info().currsize == size
+
+    def test_config_strings_never_reach_the_source(self, monkeypatch):
+        # Facility ids come from config files.  Ids that would break or
+        # change generated source simulate like plain ids, and the events
+        # carry them as given.
+        odd = ['q"uo\'te', "back\\slash", "new\nline", "{braces}", "class",
+               "Ünïcødé→"]
+        plain = [f"p{i}" for i in range(len(odd))]
+
+        def scenario(ids):
+            net = NetworkSpec([
+                FacilitySpec(ids[0], SOURCE, 2, 0.0, False),
+                FacilitySpec(ids[1], ids[0], 1, 0.9, True),
+                FacilitySpec(ids[2], ids[0], 0, 0.0, False),
+                FacilitySpec(ids[3], ids[2], 3, 0.8, True),
+                FacilitySpec(ids[4], SOURCE, 1, 0.9, True),
+                FacilitySpec(ids[5], ids[2], 1, 0.7, True)])
+            # one sample per series, so no draw depends on a stream's id
+            hist = HistoryDataset(
+                demand={fid: [3 + i] for i, fid in enumerate(ids)
+                        if fid in net.customer_ids},
+                lead_delta={fid: [i % 3] for i, fid in enumerate(ids)})
+            pol = PolicyVector(dict(zip(ids, (40, 10, 15, 8, 12, 6))),
+                               dict(zip(ids, (90, 30, 40, 20, 30, 14))))
+            return net, pol, hist
+
+        engine._day_loop.cache_clear()
+        compiled = count_compiles(monkeypatch)
+        rename = {**dict(zip(odd, plain)), SOURCE: SOURCE}
+        for choice in DemandChoice:
+            cfg = ScenarioConfig(horizon=30, replications=1, base_seed=4,
+                                 demand_choice=choice)
+            got, want = (sim_network(net, pol, hist, cfg, 1,
+                                     record_trace=True, record_events=True)
+                         for net, pol, hist in map(scenario, (odd, plain)))
+            for name in ("avg_on_hand", "beta", "total_shipped",
+                         "final_on_hand", "trace"):
+                assert {rename[k]: v for k, v in
+                        getattr(got, name).items()} == getattr(want, name)
+            assert [(day, rename[fid], kind,
+                     {k: rename[v] if k in ("destination", "upstream")
+                      else v for k, v in data.items()})
+                     for _, day, fid, kind, data in got.events] == [
+                         event[1:] for event in want.events]
+            assert {e[2] for e in got.events} == {*odd, SOURCE}
+            net, pol, hist = scenario(odd)
+            assert_matches_reference(net, pol, hist, cfg, 1, True, True)
+        assert compiled and not any(fid in source for fid in odd
+                                    for source in compiled)

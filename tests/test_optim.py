@@ -145,7 +145,7 @@ class TestSearchSettings:
               ("gp", ("cycles", "iterations_per_cycle", "n_random_starts"))]
           for name in names for value in (0, -3)),
         ("gp", "kappa", -0.5, ">= "),
-        ("gp", "kappa", -math.inf, ">= "),
+        ("gp", "kappa", -math.inf, "finite"),
         ("gp", "kappa", math.nan, "finite"),
         ("gp", "kappa", math.inf, "finite"),
         ("gp", "n_random_starts", math.nan, "finite"),

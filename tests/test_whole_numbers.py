@@ -1,9 +1,11 @@
-"""One whole-number rule for every count.
+"""One whole-number rule for every count, one finite-number rule for
+every other number.
 
 Every entry point that takes a count, a seed, a replication index, a
 policy value or a history sample refuses a fraction, NaN, infinity and a
 string, naming the field, before anything is evaluated, simulated or
-drawn, and takes a whole float as the equal int.
+drawn, and takes a whole float as the equal int.  Every float field
+refuses NaN, infinity, a bool and a non-number the same way.
 """
 
 import math
@@ -21,6 +23,7 @@ from echelonopt.model import (
     NetworkSpec,
     PolicyVector,
     ScenarioConfig,
+    finite_number,
     repair_policy_array,
     whole_number,
 )
@@ -211,6 +214,74 @@ def test_a_value_that_is_not_whole_is_refused_before_any_work(
                        "(a whole number|finite), got "):
         run(value, probe)
     assert probe.calls == []
+
+
+def series_field(name):
+    def run(value, probe):
+        params = HistoryGenParams(length=5, demand={"store": SeriesParams(
+            **{"mean": 12.5, "spread": 3.0, name: value})},
+            lead_delta=GENERATOR["lead_delta"])
+        generate_synthetic_history(NET, params, 0)
+        return getattr(params.demand["store"], name)
+    return run
+
+
+def max_minutes(value, probe):
+    limit = Budget(max_evaluations=3, max_minutes=value)
+    minimize(probe.objective, SPACE, limit, strategy="rbf")
+    return limit.max_minutes
+
+
+FLOAT_ENTRY_POINTS = [
+    *((f"ScenarioConfig.{name}", name, scenario_field(name))
+      for name in ("penalty_rho", "initial_inventory_fraction")),
+    *((f"SeriesParams.{name}", name, series_field(name))
+      for name in ("mean", "spread")),
+    ("Budget.max_minutes", "max_minutes", max_minutes),
+    ("minimize-gp.kappa", "kappa", search_setting("gp", "kappa")),
+]
+FLOAT_IDS = [entry[0] for entry in FLOAT_ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("entry,field,run", FLOAT_ENTRY_POINTS,
+                         ids=FLOAT_IDS)
+@pytest.mark.parametrize("value", ["3", None, True, math.nan, math.inf,
+                                   -math.inf])
+def test_a_float_field_refuses_a_non_number_before_any_work(
+        monkeypatch, entry, field, run, value):
+    probe = Probe(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^{field} must be "
+                       "(a number|finite), got "):
+        run(value, probe)
+    assert probe.calls == []
+
+
+@pytest.mark.parametrize("entry,field,run", FLOAT_ENTRY_POINTS,
+                         ids=FLOAT_IDS)
+def test_a_float_field_keeps_its_value(monkeypatch, entry, field, run):
+    probe = Probe(monkeypatch)
+    assert run(0.5, probe) == 0.5
+    assert probe.calls != []
+
+
+@pytest.mark.parametrize("value", [0.5, 7, np.float64(0.5), np.int64(7),
+                                   -1e308, 10**400])
+def test_finite_number_returns_the_value_itself(value):
+    assert finite_number(value, "x") is value
+
+
+@pytest.mark.parametrize("value,message", [
+    ("3", "x must be a number, got '3'"),
+    (None, "x must be a number, got None"),
+    (True, "x must be a number, got True"),
+    (np.bool_(False), "x must be a number, got np.False_"),
+    (math.nan, "x must be finite, got nan"),
+    (-math.inf, "x must be finite, got -inf"),
+    (np.float32("inf"), "x must be finite, got inf"),
+])
+def test_finite_number_names_the_field(value, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        finite_number(value, "x")
 
 
 @pytest.mark.parametrize("entry,field,run", ENTRY_POINTS, ids=ENTRY_IDS)
