@@ -24,6 +24,7 @@ from .config import (
     ConfigError,
     STRATEGIES,
     LoadedConfig,
+    in_float_range,
     load_config,
     load_policy_file,
     merge_optimizer_settings,
@@ -37,7 +38,7 @@ from .harness import (
     format_table,
     run_strategy,
 )
-from .model import DemandChoice, ScenarioConfig
+from .model import DemandChoice, ScenarioConfig, check_minimums
 from .engine import TRACE_COLUMNS, sim_network
 from .objective import evaluate
 from .optim import Budget, BudgetExhaustedError, SingularKernelError
@@ -49,21 +50,32 @@ def _fail(message: str) -> int:
     return 1
 
 
-def _given(args: argparse.Namespace, flags: dict[str, str]) -> dict:
-    """{field: value} for each flag in ``flags`` (field -> flag) given."""
-    # A given 0 is passed on, so the ScenarioConfig or settings check
-    # downstream rejects it.
-    return {field: getattr(args, flag) for field, flag in flags.items()
-            if getattr(args, flag, None) is not None}
+def _flags(args: argparse.Namespace, target, flags: dict[str, str]) -> dict:
+    """{field: value} for each flag in ``flags`` (field -> dest) given.
+    Each value is checked alone, as a config file's number is: it must
+    build ``target(field=value)`` and fit in a float.  One that does not
+    raises a ConfigError naming the flag."""
+    given = {}
+    for field, dest in flags.items():
+        value = getattr(args, dest, None)
+        if value is not None:
+            try:
+                target(**{field: value})
+                in_float_range(value, field)
+            except ValueError as exc:
+                raise ConfigError(f"--{dest.replace('_', '-')}: "
+                                  f"{exc}") from None
+            given[field] = value
+    return given
 
 
 def _scenario(cfg: LoadedConfig, args: argparse.Namespace) -> ScenarioConfig:
     """The configured scenario with each flag that was given laid over it."""
-    changes = _given(args, {"horizon": "horizon",
-                            "replications": "replications",
-                            "base_seed": "seed"})
+    changes = _flags(args, ScenarioConfig, {"horizon": "horizon",
+                                            "replications": "replications",
+                                            "base_seed": "seed"})
     if getattr(args, "choice", None) not in (None, "both"):  # both: per run
-        changes["demand_choice"] = DemandChoice(args.choice)
+        changes["demand_choice"] = args.choice
     return replace(cfg.scenario, **changes)
 
 
@@ -131,6 +143,8 @@ def cmd_generate_data(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg, history, scenario, policy = _load_inputs(args)
+    _flags(args, lambda **index: check_minimums(
+        index, {"replication_index": 1}), {"replication_index": "replication"})
     outcome = sim_network(cfg.network, policy, history, scenario,
                           replication_index=args.replication,
                           record_trace=bool(args.trace_out))
@@ -178,17 +192,11 @@ def cmd_evaluate(args) -> int:
 
 def _strategy_settings(cfg: LoadedConfig, args: argparse.Namespace,
                        strategy: str, seed: int | None = None) -> dict:
-    """The strategy's defaults, config keys, flags and ``seed``, laid in
-    that order; a budget flag that Budget rejects raises naming it."""
-    flags = _given(args, {"max_evaluations": "max_evals",
-                          "max_minutes": "max_minutes", "seed": "seed"})
-    for key, flag in (("max_evaluations", "--max-evals"),
-                      ("max_minutes", "--max-minutes")):
-        if key in flags:
-            try:
-                Budget(**{key: flags[key]})
-            except ValueError as exc:
-                raise ConfigError(f"{flag}: {exc}") from None
+    """The strategy's defaults, config keys, flags and ``seed`` (else
+    ``--seed``, checked as the scenario's), laid in that order."""
+    flags = _flags(args, Budget, {"max_evaluations": "max_evals",
+                                  "max_minutes": "max_minutes"})
+    seed = args.seed if seed is None else seed
     if seed is not None:
         flags["seed"] = seed
     return merge_optimizer_settings(

@@ -29,6 +29,7 @@ from .model import (
     NetworkValidationError,
     PolicyVector,
     ScenarioConfig,
+    boolean,
     check_minimums,
     finite_number,
     validate_network,
@@ -81,7 +82,7 @@ def _reject_unknown(raw: dict, known, context: str,
                           f"{what}: {sorted(known)}")
 
 
-def _float(value, context: str) -> float:
+def in_float_range(value, context: str) -> float:
     """``float(value)``; a number too large for a float raises."""
     try:
         return float(value)
@@ -92,44 +93,22 @@ def _float(value, context: str) -> float:
 
 def _integer(value, context: str) -> int:
     """``value`` as an int in float range, by ``whole_number``'s rule."""
-    try:
-        number = whole_number(value, context)
-    except ValueError:
-        raise ConfigError(f"{context}: expected an integer, "
-                          f"got {value!r}") from None
-    _float(number, context)
+    number = whole_number(value, context, ConfigError)
+    in_float_range(number, context)
     return number
 
 
 def _number(value, context: str) -> float:
     """``value`` as a float in float range, by ``finite_number``'s rule."""
-    try:
-        number = finite_number(value, context)
-    except ValueError:
-        raise ConfigError(f"{context}: expected a finite number, "
-                          f"got {value!r}") from None
-    return _float(number, context)
+    return in_float_range(finite_number(value, context, ConfigError), context)
 
 
-def _boolean(value, context: str) -> bool:
-    if isinstance(value, bool):
-        return value
-    raise ConfigError(f"{context}: expected true or false, got {value!r}")
-
-
-def _demand_choice(value, context: str) -> DemandChoice:
-    """``value`` as a DemandChoice, ignoring case."""
-    choice = str(value).lower()
-    try:
-        return DemandChoice(choice)
-    except ValueError:
-        names = " or ".join(repr(c.value) for c in DemandChoice)
-        raise ConfigError(f"{context}: {choice!r} must be {names}") from None
-
-
-_READERS = {int: _integer, float: _number, bool: _boolean,
+# DemandChoice: a config file's value ignores case; ScenarioConfig checks it
+_READERS = {int: _integer, float: _number,
+            bool: partial(boolean, error=ConfigError),
             str: lambda value, context: str(value),
-            DemandChoice: _demand_choice}
+            DemandChoice: lambda value, context: (
+                value.lower() if isinstance(value, str) else value)}
 
 
 def _read(cls, raw, context: str, **readers):

@@ -67,6 +67,13 @@ def finite_number(value, name: str, error: type[ValueError] = ValueError):
     raise error(f"{name} must be a number, got {value!r}")
 
 
+def boolean(value, name: str, error: type[ValueError] = ValueError) -> bool:
+    """``value`` as a bool, numpy bools too; 0, 1 or "no" raises ``error``."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
+    raise error(f"{name} must be true or false, got {value!r}")
+
+
 def check_minimums(values: dict, minimums: Mapping,
                    error: type[ValueError] = ValueError) -> None:
     """Raise ``error`` naming the first name in ``minimums`` whose value
@@ -99,8 +106,8 @@ class FacilitySpec:
     ``base_lead_time`` is the minimum replenishment lead time in days from
     the upstream unit; the simulator adds a bootstrapped random delta on
     top of it.  ``target_beta`` is the fill-rate target and must be 0 for
-    facilities that do not serve customers.  ``base_lead_time`` is
-    stored as an int.
+    facilities that do not serve customers.  Each field is checked by
+    its type's rule; ``base_lead_time`` is stored as an int.
     """
 
     id: str
@@ -110,8 +117,14 @@ class FacilitySpec:
     serves_customers: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.id, str):
+            raise ValueError(f"facility id must be a string, got {self.id!r}")
+        name = f"facility {self.id}: "
         object.__setattr__(self, "base_lead_time", whole_number(
-            self.base_lead_time, f"facility {self.id}: base_lead_time"))
+            self.base_lead_time, name + "base_lead_time"))
+        finite_number(self.target_beta, name + "target_beta")
+        object.__setattr__(self, "serves_customers", boolean(
+            self.serves_customers, name + "serves_customers"))
 
 
 @dataclass(frozen=True)
@@ -249,7 +262,8 @@ class PolicyVector:
 @dataclass(frozen=True)
 class ScenarioConfig:
     """Simulation horizon, replication count, and objective settings;
-    horizon, replications and base_seed are stored as ints."""
+    horizon, replications and base_seed are stored as ints, and
+    demand_choice, a DemandChoice or its exact value, as the member."""
 
     horizon: int = 360
     replications: int = 20
@@ -264,6 +278,13 @@ class ScenarioConfig:
         if not 0.0 <= finite_number(self.initial_inventory_fraction,
                                     "initial_inventory_fraction") <= 1.0:
             raise ValueError("initial_inventory_fraction must be in [0, 1]")
+        try:
+            choice = DemandChoice(self.demand_choice)
+        except ValueError:
+            names = " or ".join(repr(c.value) for c in DemandChoice)
+            raise ValueError(f"demand_choice must be {names}, "
+                             f"got {self.demand_choice!r}") from None
+        object.__setattr__(self, "demand_choice", choice)
 
 
 @dataclass(frozen=True, eq=False)

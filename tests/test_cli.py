@@ -411,12 +411,16 @@ class TestBadFlagValues:
 
     @pytest.mark.parametrize("command", ["optimize", "compare"])
     @pytest.mark.parametrize("flag,value,named", [
-        ("--seed", "-5", "base_seed must be >= 0"),
+        ("--seed", "-5", "--seed: base_seed must be >= 0, got -5"),
         ("--max-minutes", "nan", "--max-minutes: max_minutes must be finite"),
         ("--max-minutes", "inf", "--max-minutes: max_minutes must be finite"),
         ("--max-evals", str(10**400),
-         "max_evaluations: number too large for a float"),
-    ], ids=["negative-seed", "nan-minutes", "inf-minutes", "huge-evals"])
+         "--max-evals: max_evaluations: number too large for a float"),
+        ("--horizon", "0", "--horizon: horizon must be >= 1, got 0"),
+        ("--replications", "0",
+         "--replications: replications must be >= 1, got 0"),
+    ], ids=["negative-seed", "nan-minutes", "inf-minutes", "huge-evals",
+            "zero-horizon", "zero-replications"])
     def test_fails_before_any_file(self, config_path, history_dir, tmp_path,
                                    command, flag, value, named, capsys):
         out = tmp_path / "bad"
@@ -428,6 +432,21 @@ class TestBadFlagValues:
         assert code == 1
         assert named in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command,flag,value,named", [
+        ("simulate", "--replication", "0",
+         "replication_index must be >= 1, got 0"),
+        ("simulate", "--horizon", str(10**400),
+         "horizon: number too large for a float"),
+        ("evaluate", "--replications", "0",
+         "replications must be >= 1, got 0"),
+    ], ids=["zero-replication", "huge-horizon", "evaluate-zero-replications"])
+    def test_flag_is_named_in_every_command(self, config_path, history_dir,
+                                            command, flag, value, named,
+                                            capsys):
+        assert main([command, "--config", config_path, "--history-dir",
+                     history_dir, flag, value]) == 1
+        assert capsys.readouterr().err == f"error: {flag}: {named}\n"
 
     def test_negative_seed_fails_in_generate_data(self, config_path,
                                                   tmp_path, capsys):
@@ -836,8 +855,26 @@ class TestConfigValidation:
         from echelonopt.config import ConfigError, load_config
         raw = self.base()
         self.replace_field(raw, path, change)
-        with pytest.raises(ConfigError, match=rf"{context}: expected true "
-                           "or false"):
+        with pytest.raises(ConfigError, match=rf"{context} must be true "
+                           "or false, got "):
+            load_config(self.write(tmp_path, raw))
+
+    @pytest.mark.parametrize("value", ["LOST-SALES", "Lost-Sales"])
+    def test_demand_choice_ignores_case(self, tmp_path, value):
+        from echelonopt.config import load_config
+        raw = self.base()
+        raw["scenario"]["demand_choice"] = value
+        scenario = load_config(self.write(tmp_path, raw)).scenario
+        assert scenario.demand_choice is DemandChoice.LOST_SALES
+
+    @pytest.mark.parametrize("value", ["lost", None, 1, True])
+    def test_demand_choice_that_is_no_choice_rejected(self, tmp_path, value):
+        from echelonopt.config import ConfigError, load_config
+        raw = self.base()
+        raw["scenario"]["demand_choice"] = value
+        with pytest.raises(ConfigError, match=re.escape(
+                "scenario: demand_choice must be 'backorder' or "
+                f"'lost-sales', got {value!r}")):
             load_config(self.write(tmp_path, raw))
 
     @pytest.mark.parametrize("path,field", [

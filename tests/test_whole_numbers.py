@@ -1,28 +1,34 @@
 """One whole-number rule for every count, one finite-number rule for
-every other number.
+every other number, and one rule for each other field type.
 
 Every entry point that takes a count, a seed, a replication index, a
 policy value or a history sample refuses a fraction, NaN, infinity and a
 string, naming the field, before anything is evaluated, simulated or
 drawn, and takes a whole float as the equal int.  Every float field
-refuses NaN, infinity, a bool and a non-number the same way.
+refuses NaN, infinity, a bool and a non-number the same way.  Every
+field of a facility and of a scenario refuses a value of the wrong type
+when its object is built.
 """
 
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from echelonopt import engine, objective, sampling
 from echelonopt.harness import make_policy_objective
+from echelonopt.config import load_config
 from echelonopt.model import (
     SOURCE,
+    DemandChoice,
     FacilitySpec,
     HistoryDataset,
     NetworkSpec,
     PolicyVector,
     ScenarioConfig,
+    boolean,
     finite_number,
     repair_policy_array,
     whole_number,
@@ -357,3 +363,98 @@ def test_float_fields_keep_their_fractions(monkeypatch):
     minimize(probe.objective, SPACE, Budget(max_evaluations=3),
              strategy="gp", **{**SETTINGS["gp"], "kappa": 1.96})
     assert probe.started["kappa"] == 1.96
+
+
+def facility_field(name):
+    def run(value, probe):
+        store = {"id": "store", "upstream": "hub", "base_lead_time": 1,
+                 "target_beta": 0.9, "serves_customers": True, name: value}
+        net = NetworkSpec([HUB, FacilitySpec(**store)])
+        evaluate(POLICY, net, history(), ScenarioConfig(**SCENARIO))
+    return run
+
+
+CHOICES = "demand_choice must be 'backorder' or 'lost-sales'"
+# (field, the start of its message, how to build and run it, values of
+# the wrong type) for every field of FacilitySpec and ScenarioConfig;
+# upstream is a network rule instead (test below)
+FIELD_RULES = [
+    ("FacilitySpec.id", "facility id must be a string",
+     facility_field("id"), [3, None]),
+    ("FacilitySpec.base_lead_time",
+     "facility store: base_lead_time must be a whole number",
+     facility_field("base_lead_time"), ["0.5", None]),
+    ("FacilitySpec.target_beta", "facility store: target_beta must be a "
+     "number", facility_field("target_beta"), ["0.5", None]),
+    ("FacilitySpec.serves_customers",
+     "facility store: serves_customers must be true or false",
+     facility_field("serves_customers"), ["no", 1, None]),
+    *((f"ScenarioConfig.{name}", f"{name} must be a whole number",
+       scenario_field(name), ["0.5", None]) for name in SCENARIO),
+    *((f"ScenarioConfig.{name}", f"{name} must be a number",
+       scenario_field(name), ["0.5", None])
+      for name in ("penalty_rho", "initial_inventory_fraction")),
+    ("ScenarioConfig.demand_choice", CHOICES, scenario_field("demand_choice"),
+     ["nope", "LOST-SALES", 1, None]),
+]
+
+
+@pytest.mark.parametrize("entry,message,run,value", [
+    pytest.param(entry, message, run, value, id=f"{entry}-{value!r}")
+    for entry, message, run, values in FIELD_RULES for value in values])
+def test_a_field_of_the_wrong_type_is_refused_when_built(
+        monkeypatch, entry, message, run, value):
+    probe = Probe(monkeypatch)
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}, "
+                       rf"got {re.escape(repr(value))}$"):
+        run(value, probe)
+    assert probe.calls == []
+
+
+def test_an_upstream_that_is_not_a_string_is_no_known_facility(
+        monkeypatch):
+    probe = Probe(monkeypatch)
+    with pytest.raises(ValueError, match="^invalid network: facility "
+                       "store: upstream 3 is not a known facility$"):
+        facility_field("upstream")(3, probe)
+    assert [call for what, call in probe.calls if what == "stream"] == []
+
+
+@pytest.mark.parametrize("value,expected", [
+    (True, True), (False, False), (np.bool_(True), True)])
+def test_boolean_returns_a_python_bool(value, expected):
+    assert boolean(value, "b") is expected
+
+
+@pytest.mark.parametrize("value", [0, 1, "no", "true", None, 1.0])
+def test_boolean_names_the_field(value):
+    with pytest.raises(ValueError, match=f"^b must be true or false, got "
+                       f"{re.escape(repr(value))}$"):
+        boolean(value, "b")
+
+
+PRESET = Path(__file__).resolve().parent.parent / "configs" / \
+    "five_facility.json"
+
+
+def test_a_demand_choice_value_is_stored_as_its_member():
+    # the preset at 2 x 120 days with its initial R and B floor-divided
+    # by 3, so lost sales and backorders score apart
+    cfg = load_config(PRESET)
+    samples = generate_synthetic_history(cfg.network, cfg.generator,
+                                         cfg.scenario.base_seed)
+    policy = PolicyVector(*({fid: v // 3 for fid, v in values.items()}
+                            for values in (cfg.initial_policy.reorder_point,
+                                           cfg.initial_policy.base_stock)))
+
+    def z(choice):
+        scenario = ScenarioConfig(horizon=120, replications=2,
+                                  base_seed=cfg.scenario.base_seed,
+                                  demand_choice=choice)
+        return scenario.demand_choice, evaluate(policy, cfg.network, samples,
+                                                scenario).z
+
+    assert z("lost-sales") == z(DemandChoice.LOST_SALES)
+    assert z("lost-sales")[0] is DemandChoice.LOST_SALES
+    assert z("backorder") == z(DemandChoice.BACKORDER)
+    assert z("lost-sales")[1] != z("backorder")[1]
